@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .literals import parse, parse_pair, parse_payload, render_pair
+from .literals import parse, parse_pair, parse_payload
 from .natorder import (
     SolutionKind,
     SolutionSet,
@@ -118,7 +118,6 @@ __all__ = [
     "parse",
     "parse_pair",
     "parse_payload",
-    "render_pair",
     "run_suites",
     "solve_left",
     "solve_right",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     InstanceMismatch,
@@ -21,7 +21,7 @@ from .errors import (
     NotApplicable,
     PreconditionViolated,
 )
-from .ogroups import Element, OrderedGroup, successor_check
+from .ogroups import Bounds, Element, OrderedGroup, successor_check
 from .pairs import BElement, idempotent
 from .natorder import SolutionKind, ideal_member, solve_left, solve_right
 
@@ -136,14 +136,12 @@ class ExcludedRegion(Enum):
     """Which avoided set a translated point lands in.
 
     The diagonal set (idempotents at or below the anchor) is part of the
-    avoided region by construction, so certificates only ever land in the
-    two principal ideals; DL_SET exists to name where diagonal points
-    already sit.
+    avoided region by construction, so certificates only ever land in one
+    of the two principal ideals.
     """
 
     RIGHT_IDEAL = "right-ideal"  # first coordinate at least the anchor's successor
     LEFT_IDEAL = "left-ideal"  # second coordinate at least the anchor's successor
-    DL_SET = "dl-set"
 
 
 @dataclass(frozen=True)
@@ -155,6 +153,22 @@ class EscapeCertificate:
     side: str  # which translation expels: "left" or "right"
     product: BElement
     excluded_region: ExcludedRegion
+
+
+def escape_region(
+    group: OrderedGroup, anchor: Element, bounds: Bounds
+) -> Iterator[Tuple[Element, Element]]:
+    """Coordinates of the escape-region points in the window, in window order.
+
+    These are exactly the points ``escape_certificate`` accepts for the
+    anchor: both coordinates at or below it, off the diagonal.  Raises
+    NotApplicable when the carrier cannot be enumerated.
+    """
+    below = [x for x in group.elements(bounds) if group.leq(x, anchor)]
+    for x in below:
+        for y in below:
+            if x != y:
+                yield x, y
 
 
 def escape_certificate(idem_pair: BElement, point: BElement) -> EscapeCertificate:

@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Optional
 
-from .certificates import build_witness_chain, density_probe, escape_certificate
+from .certificates import build_witness_chain, density_probe, escape_certificate, escape_region
 from .errors import BicextError, NotApplicable, ParseError
 from .literals import pair_to_json, parse_pair, parse_payload
 from .natorder import (
@@ -197,15 +197,10 @@ def _cmd_escape(args) -> int:
             f"({len(verdict.witnesses)} strictly-smaller-positive witnesses found)",
         )
         return 0
-    elems = group.elements(args.window)
-    certs = []
-    for x in elems:
-        if not group.leq(x, anchor):
-            continue
-        for y in elems:
-            if x == y or not group.leq(y, anchor):
-                continue
-            certs.append(escape_certificate(idem, BElement(group, x, y)))
+    certs = [
+        escape_certificate(idem, BElement(group, x, y))
+        for x, y in escape_region(group, anchor, args.window)
+    ]
     payload = {
         "not_applicable": False,
         "anchor": group.render(anchor),
@@ -238,13 +233,9 @@ def _cmd_check(args) -> int:
         window=args.window,
         sample_seed=args.sample_seed,
         suites=suites,
-        output=args.output,
     )
     report = run_suites(cfg)
-    if args.output == "json":
-        print(json.dumps(report.to_json(), sort_keys=True, indent=2))
-    else:
-        print(report.to_text())
+    _emit(report.to_json(), args.output, report.to_text())
     return 0 if report.ok else 1
 
 

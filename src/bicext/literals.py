@@ -10,6 +10,7 @@ offending character in the original string.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -26,13 +27,22 @@ def _strip(text: str, offset: int) -> Tuple[str, int]:
     return text.strip(), offset + lead
 
 
+def _to_int(digits: str, at: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # only the interpreter's str-to-int digit limit gets here
+        raise ParseError(
+            f"integer literal longer than {sys.get_int_max_str_digits()} digits", at
+        ) from None
+
+
 def _parse_int(body: str, at: int) -> int:
     m = _INT.fullmatch(body)
     if not m:
         partial = _INT.match(body)
         bad = partial.end() if partial else 0
         raise ParseError(f"expected an integer, got {body!r}", at + bad)
-    return int(body)
+    return _to_int(body, at)
 
 
 def _parse_fraction(body: str, at: int) -> Fraction:
@@ -41,12 +51,13 @@ def _parse_fraction(body: str, at: int) -> Fraction:
         partial = _FRACTION.match(body)
         bad = partial.end() if partial else 0
         raise ParseError(f"expected <int> or <int>/<int>, got {body!r}", at + bad)
-    num = int(m.group(1))
+    num = _to_int(m.group(1), at)
     if m.group(2) is None:
         return Fraction(num)
-    if int(m.group(2)) == 0:
+    den = _to_int(m.group(2), at + m.start(2))
+    if den == 0:
         raise ParseError("zero denominator", at + m.start(2))
-    return Fraction(num, int(m.group(2)))
+    return Fraction(num, den)
 
 
 def _parse_int_tuple(body: str, at: int, arity: int) -> Tuple[int, ...]:
@@ -102,10 +113,6 @@ def parse(text: str, group: OrderedGroup) -> Union[Element, BElement]:
     if body.startswith("["):
         return parse_pair(text, group)
     return parse_payload(text, group)
-
-
-def render_pair(s: BElement) -> str:
-    return str(s)
 
 
 def pair_to_json(s: BElement) -> dict:

@@ -21,6 +21,7 @@ from .errors import (
     NotApplicable,
     PreconditionViolated,
 )
+from .literals import pair_to_json
 from .ogroups import Bounds, Element
 from .pairs import BElement, idempotent, pairs_in_window
 
@@ -120,13 +121,7 @@ class SolutionSet:
         return nat_leq(self.element, candidate)
 
     def to_json(self) -> dict:
-        payload = None
-        if self.element is not None:
-            g = self.element.group
-            payload = {
-                "left": g.render(self.element.left),
-                "right": g.render(self.element.right),
-            }
+        payload = None if self.element is None else pair_to_json(self.element)
         return {"kind": self.kind.value, "element": payload}
 
 

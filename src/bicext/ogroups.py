@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import NotApplicable
@@ -98,7 +99,8 @@ class OrderedGroup:
         raise NotApplicable(f"{self.name} is not enumerable")
 
     def render(self, x: Element) -> str:
-        raise NotImplementedError
+        """Canonical literal; ``str`` of the payload unless overridden."""
+        return str(x)
 
     # derived helpers ----------------------------------------------------
 
@@ -107,9 +109,6 @@ class OrderedGroup:
 
     def leq(self, g, h) -> bool:
         return self.cmp(g, h) <= 0
-
-    def gt(self, g, h) -> bool:
-        return self.cmp(g, h) > 0
 
     def geq(self, g, h) -> bool:
         return self.cmp(g, h) >= 0
@@ -180,9 +179,6 @@ class IntegerGroup(OrderedGroup):
         lo, hi = normalize_bounds(bounds)
         return list(range(lo, hi + 1))
 
-    def render(self, x) -> str:
-        return str(x)
-
 
 class RationalGroup(OrderedGroup):
     """Rationals under addition: the densely ordered carrier.
@@ -229,23 +225,47 @@ class RationalGroup(OrderedGroup):
         }
         return sorted(vals)
 
-    def render(self, x) -> str:
-        return str(x)
+
+class LexTupleGroup(OrderedGroup):
+    """Integer tuples of a fixed arity, ordered lexicographically.
+
+    The order, identity, successor and enumeration depend on the arity
+    alone, so they live here.  Each subclass keeps its own ``mul``,
+    ``inv``, ``contains`` and ``render`` written out for its arity: these
+    sit on the hot path, and generic tuple loops cost about twice as much.
+    """
+
+    payload_kind = "int-tuple"
+
+    # cached: is_positive reads the identity on every call
+    @cached_property
+    def identity(self) -> Tuple[int, ...]:
+        return (0,) * self.payload_arity
+
+    def successor(self, g):
+        # right-multiplying by (0, ..., 0, 1) bumps only the last coordinate
+        return g[:-1] + (g[-1] + 1,)
+
+    def predecessor(self, g):
+        return g[:-1] + (g[-1] - 1,)
+
+    @cached_property
+    def designated_positive(self) -> Tuple[int, ...]:
+        return (0,) * (self.payload_arity - 1) + (1,)
+
+    def elements(self, bounds: Bounds) -> List[Tuple[int, ...]]:
+        lo, hi = normalize_bounds(bounds)
+        return list(itertools.product(range(lo, hi + 1), repeat=self.payload_arity))
 
 
-class LexPairGroup(OrderedGroup):
+class LexPairGroup(LexTupleGroup):
     """Pairs of integers with componentwise addition, ordered lexicographically.
 
     Non-archimedean: (1, 0) exceeds every (0, n).
     """
 
     name = "ZxZ"
-    payload_kind = "int-tuple"
     payload_arity = 2
-
-    @property
-    def identity(self) -> Tuple[int, int]:
-        return (0, 0)
 
     def mul(self, g, h):
         return (g[0] + h[0], g[1] + h[1])
@@ -261,26 +281,11 @@ class LexPairGroup(OrderedGroup):
             and type(x[1]) is int
         )
 
-    def successor(self, g):
-        return (g[0], g[1] + 1)
-
-    def predecessor(self, g):
-        return (g[0], g[1] - 1)
-
-    @property
-    def designated_positive(self) -> Tuple[int, int]:
-        return (0, 1)
-
-    def elements(self, bounds: Bounds) -> List[Tuple[int, int]]:
-        lo, hi = normalize_bounds(bounds)
-        rng = range(lo, hi + 1)
-        return [(a, b) for a in rng for b in rng]
-
     def render(self, x) -> str:
         return f"({x[0]},{x[1]})"
 
 
-class HeisenbergGroup(OrderedGroup):
+class HeisenbergGroup(LexTupleGroup):
     """Discrete Heisenberg group on integer triples, ordered lexicographically.
 
     Product: (x, y, z) * (p, q, r) = (x + p, y + q, z + r + x*q), the
@@ -292,12 +297,7 @@ class HeisenbergGroup(OrderedGroup):
 
     name = "H3"
     abelian = False
-    payload_kind = "int-tuple"
     payload_arity = 3
-
-    @property
-    def identity(self) -> Tuple[int, int, int]:
-        return (0, 0, 0)
 
     def mul(self, g, h):
         return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
@@ -311,22 +311,6 @@ class HeisenbergGroup(OrderedGroup):
             and len(x) == 3
             and all(type(v) is int for v in x)
         )
-
-    def successor(self, g):
-        # right-multiplying by (0, 0, 1) bumps only the last coordinate
-        return (g[0], g[1], g[2] + 1)
-
-    def predecessor(self, g):
-        return (g[0], g[1], g[2] - 1)
-
-    @property
-    def designated_positive(self) -> Tuple[int, int, int]:
-        return (0, 0, 1)
-
-    def elements(self, bounds: Bounds) -> List[Tuple[int, int, int]]:
-        lo, hi = normalize_bounds(bounds)
-        rng = range(lo, hi + 1)
-        return [(a, b, c) for a in rng for b in rng for c in rng]
 
     def render(self, x) -> str:
         return f"({x[0]},{x[1]},{x[2]})"

@@ -48,10 +48,6 @@ class PartialShift:
     def inverse(self) -> "PartialShift":
         return PartialShift(self.group, self.cod_anchor, self.dom_anchor)
 
-    def then(self, other: "PartialShift") -> "PartialShift":
-        """Diagrammatic composite: this shift first, then ``other``."""
-        return compose(self, other)
-
     def __str__(self):
         g = self.group
         return f"shift {g.render(self.dom_anchor)} -> {g.render(self.cod_anchor)}"

@@ -13,13 +13,14 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .certificates import (
     build_witness_chain,
     density_probe,
     dl_set_member,
     escape_certificate,
+    escape_region,
 )
 from .errors import BicextError
 from .natorder import (
@@ -48,13 +49,12 @@ MAX_ELEMENT_POOL = 64
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """One suite run: which carrier, how wide, which checks, what format."""
+    """One suite run: which carrier, how wide, which seed, which checks."""
 
     group: object  # selector string or an OrderedGroup instance
     window: int = 4
     sample_seed: int = 0
     suites: Tuple[str, ...] = ()  # empty tuple means every suite
-    output: str = "text"
 
     def __post_init__(self):
         if self.window < 1:
@@ -62,8 +62,6 @@ class SuiteConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite name(s): {', '.join(sorted(unknown))}")
-        if self.output not in ("text", "json"):
-            raise ValueError(f"output must be 'text' or 'json', got {self.output!r}")
         if not isinstance(self.group, OrderedGroup) and self.group not in GROUPS:
             raise ValueError(f"unknown group selector {self.group!r}")
 
@@ -157,21 +155,17 @@ class _Ctx:
 
     def elements(self, bounds=None) -> List:
         g = self.group
-        if g.enumerable:
-            return g.elements(self.window if bounds is None else bounds)
         bound = self.window if bounds is None else bounds
+        if g.enumerable:
+            return g.elements(bound)
         if isinstance(bound, tuple):
             bound = max(abs(bound[0]), abs(bound[1]))
         return g.sample_grid(max(1, bound))
 
     def pool_elements(self, margin: int = 0) -> List:
         """Window elements, thinned deterministically when pairing would explode."""
-        elems = self.elements(self.window + margin if margin else None)
-        if len(elems) > MAX_ELEMENT_POOL:
-            rng = self.rng(f"element-pool:{margin}")
-            keep = sorted(rng.sample(range(len(elems)), MAX_ELEMENT_POOL))
-            elems = [elems[i] for i in keep]
-        return elems
+        elems = self.elements(self.window + margin)
+        return _subset(elems, MAX_ELEMENT_POOL, self.rng(f"element-pool:{margin}"))
 
     def pairs(self, bplus: bool = False, margin: int = 0) -> List[BElement]:
         key = (bplus, margin)
@@ -191,28 +185,14 @@ def _subset(items: Sequence, cap: int, rng: random.Random) -> List:
     return [items[i] for i in keep]
 
 
-def _pair_samples(pool: Sequence, cap: int, rng: random.Random) -> List[tuple]:
+def _tuples(pool: Sequence, k: int, cap: int, rng: random.Random) -> Iterable[tuple]:
+    """Every k-tuple over the pool when there are at most ``cap``, else
+    ``cap`` seeded draws, each taking its k entries left to right."""
     n = len(pool)
-    if n * n <= cap:
-        return [(s, t) for s in pool for t in pool]
-    return [(pool[rng.randrange(n)], pool[rng.randrange(n)]) for _ in range(cap)]
-
-
-def _triple_samples(pool: Sequence, cap: int, rng: random.Random) -> List[tuple]:
-    n = len(pool)
-    if n * n * n <= cap:
-        return [(a, b, c) for a in pool for b in pool for c in pool]
-    return [
-        (pool[rng.randrange(n)], pool[rng.randrange(n)], pool[rng.randrange(n)])
-        for _ in range(cap)
-    ]
-
-
-def _quad_samples(pool: Sequence, cap: int, rng: random.Random) -> List[tuple]:
-    n = len(pool)
-    if n ** 4 <= cap:
-        return list(itertools.product(pool, repeat=4))
-    return [tuple(pool[rng.randrange(n)] for _ in range(4)) for _ in range(cap)]
+    if n**k <= cap:
+        return itertools.product(pool, repeat=k)
+    draws = (pool[rng.randrange(n)] for _ in range(cap * k))
+    return zip(*[draws] * k)  # k consecutive draws per tuple
 
 
 Outcome = Tuple[str, int, Optional[str]]
@@ -225,7 +205,7 @@ def c_group_laws(ctx: _Ctx) -> Outcome:
     g = ctx.group
     elems = ctx.elements()
     cases = 0
-    for a, b, c in _triple_samples(elems, 4000, ctx.rng("group-laws")):
+    for a, b, c in _tuples(elems, 3, 4000, ctx.rng("group-laws")):
         cases += 1
         if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
             return "fail", cases, f"associativity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}"
@@ -242,7 +222,7 @@ def c_order_trichotomy(ctx: _Ctx) -> Outcome:
     g = ctx.group
     elems = ctx.elements()
     cases = 0
-    for a, b in _pair_samples(elems, 6000, ctx.rng("trichotomy")):
+    for a, b in _tuples(elems, 2, 6000, ctx.rng("trichotomy")):
         cases += 1
         v = g.cmp(a, b)
         if v not in (-1, 0, 1) or v != -g.cmp(b, a) or (v == 0) != (a == b):
@@ -254,7 +234,7 @@ def c_order_transitivity(ctx: _Ctx) -> Outcome:
     g = ctx.group
     elems = ctx.elements()
     cases = 0
-    for a, b, c in _triple_samples(elems, 6000, ctx.rng("transitivity")):
+    for a, b, c in _tuples(elems, 3, 6000, ctx.rng("transitivity")):
         cases += 1
         if g.leq(a, b) and g.leq(b, c) and not g.leq(a, c):
             return "fail", cases, f"transitivity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}"
@@ -265,7 +245,7 @@ def c_order_bi_invariance(ctx: _Ctx) -> Outcome:
     g = ctx.group
     elems = ctx.elements()
     cases = 0
-    for a, b, t in _triple_samples(elems, 6000, ctx.rng("bi-invariance")):
+    for a, b, t in _tuples(elems, 3, 6000, ctx.rng("bi-invariance")):
         cases += 1
         if g.lt(a, b):
             if not g.lt(g.mul(a, t), g.mul(b, t)) or not g.lt(g.mul(t, a), g.mul(t, b)):
@@ -334,7 +314,7 @@ def c_density_witness(ctx: _Ctx) -> Outcome:
     if not g.densely_ordered:
         return "not-applicable", 0, None
     cases = 0
-    for a, b in _pair_samples(ctx.elements(), 4000, ctx.rng("density")):
+    for a, b in _tuples(ctx.elements(), 2, 4000, ctx.rng("density")):
         if g.lt(a, b):
             cases += 1
             m = g.between(a, b)
@@ -348,7 +328,7 @@ def c_noncommutative_witness(ctx: _Ctx) -> Outcome:
     if g.abelian:
         return "not-applicable", 0, None
     cases = 0
-    for a, b in _pair_samples(ctx.elements(), 4000, ctx.rng("noncomm")):
+    for a, b in _tuples(ctx.elements(), 2, 4000, ctx.rng("noncomm")):
         cases += 1
         if g.mul(a, b) != g.mul(b, a):
             return "pass", cases, None
@@ -361,7 +341,7 @@ def c_noncommutative_witness(ctx: _Ctx) -> Outcome:
 def c_pair_associativity(ctx: _Ctx) -> Outcome:
     pool = ctx.pairs()
     cases = 0
-    for s, t, u in _triple_samples(pool, BUDGET // 3, ctx.rng("pair-assoc")):
+    for s, t, u in _tuples(pool, 3, BUDGET // 3, ctx.rng("pair-assoc")):
         cases += 1
         if (s * t) * u != s * (t * u):
             return "fail", cases, f"associativity broke at {s}, {t}, {u}"
@@ -389,7 +369,7 @@ def c_idempotents_commute(ctx: _Ctx) -> Outcome:
     g = ctx.group
     idems = [idempotent(g, x) for x in ctx.elements()]
     cases = 0
-    for e, f in _pair_samples(idems, 6000, ctx.rng("idem-commute")):
+    for e, f in _tuples(idems, 2, 6000, ctx.rng("idem-commute")):
         cases += 1
         if e * f != f * e:
             return "fail", cases, f"idempotents {e} and {f} do not commute"
@@ -399,7 +379,7 @@ def c_idempotents_commute(ctx: _Ctx) -> Outcome:
 def c_bplus_closure(ctx: _Ctx) -> Outcome:
     pool = ctx.pairs(bplus=True)
     cases = 0
-    for s, t in _pair_samples(pool, BUDGET // 2, ctx.rng("bplus-closure")):
+    for s, t in _tuples(pool, 2, BUDGET // 2, ctx.rng("bplus-closure")):
         cases += 1
         if not (s * t).in_bplus():
             return "fail", cases, f"product {s} * {t} left the positive part"
@@ -453,7 +433,7 @@ def c_no_identity(ctx: _Ctx) -> Outcome:
 def c_natleq_vs_oracle(ctx: _Ctx) -> Outcome:
     pool = ctx.pairs()
     cases = 0
-    for s, t in _pair_samples(pool, 1200, ctx.rng("natleq-oracle")):
+    for s, t in _tuples(pool, 2, 1200, ctx.rng("natleq-oracle")):
         cases += 1
         if nat_leq(s, t) != nat_leq_oracle(s, t):
             return "fail", cases, f"order test and oracle disagree on {s}, {t}"
@@ -463,7 +443,7 @@ def c_natleq_vs_oracle(ctx: _Ctx) -> Outcome:
 def c_natleq_clause_duality(ctx: _Ctx) -> Outcome:
     pool = ctx.pairs()
     cases = 0
-    for s, t in _pair_samples(pool, 8000, ctx.rng("natleq-dual")):
+    for s, t in _tuples(pool, 2, 8000, ctx.rng("natleq-dual")):
         cases += 1
         if nat_leq(s, t) != nat_leq_dual(s, t):
             return "fail", cases, f"coordinate clauses disagree on {s}, {t}"
@@ -478,11 +458,11 @@ def c_natorder_partial_order(ctx: _Ctx) -> Outcome:
         cases += 1
         if not nat_leq(s, s):
             return "fail", cases, f"reflexivity broke at {s}"
-    for s, t in _pair_samples(pool, 4000, rng):
+    for s, t in _tuples(pool, 2, 4000, rng):
         cases += 1
         if nat_leq(s, t) and nat_leq(t, s) and s != t:
             return "fail", cases, f"antisymmetry broke at {s}, {t}"
-    for s, t, u in _triple_samples(pool, 4000, rng):
+    for s, t, u in _tuples(pool, 3, 4000, rng):
         cases += 1
         if nat_leq(s, t) and nat_leq(t, u) and not nat_leq(s, u):
             return "fail", cases, f"transitivity broke at {s}, {t}, {u}"
@@ -497,7 +477,7 @@ def c_natorder_compatibility(ctx: _Ctx) -> Outcome:
     cases = 0
     # build comparable pairs directly: everything above s has the same
     # coordinate quotient and a left coordinate at or below s.left
-    for s, u in _pair_samples(pool, 600, rng):
+    for s, u in _tuples(pool, 2, 600, rng):
         quot = g.mul(g.inv(s.left), s.right)
         above = [
             BElement(g, x, g.mul(x, quot)) for x in elems if g.leq(x, s.left)
@@ -515,7 +495,7 @@ def c_triple_factorization(ctx: _Ctx) -> Outcome:
     g = ctx.group
     elems = ctx.elements()
     cases = 0
-    for a, b, c, d in _quad_samples(elems, 6000, ctx.rng("factorization")):
+    for a, b, c, d in _tuples(elems, 4, 6000, ctx.rng("factorization")):
         cases += 1
         lhs = BElement(g, a, c) * BElement(g, c, d) * BElement(g, d, b)
         if lhs != BElement(g, a, b):
@@ -544,7 +524,7 @@ def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
     pool = ctx.pairs(bplus=bplus)
     pool_members = set(pool)
     budget_pairs = max(16, BUDGET // max(1, len(pool)))
-    samples = _pair_samples(pool, budget_pairs, ctx.rng(f"solve-{side}-{bplus}"))
+    samples = _tuples(pool, 2, budget_pairs, ctx.rng(f"solve-{side}-{bplus}"))
     cases = 0
     for target, known in samples:
         if side == "right":
@@ -588,7 +568,7 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
     elems = [e for e in ctx.elements() if not bplus or g.is_positive(e)]
     pool = ctx.pairs(bplus=bplus)
     budget_quads = max(12, BUDGET // max(1, len(pool)))
-    quads = _quad_samples(elems, budget_quads, ctx.rng(f"sandwich-{bplus}"))
+    quads = _tuples(elems, 4, budget_quads, ctx.rng(f"sandwich-{bplus}"))
     cases = 0
     for a, b, c, d in quads:
         target = BElement(g, a, b)
@@ -624,7 +604,7 @@ def c_ideal_membership(ctx: _Ctx) -> Outcome:
     g = ctx.group
     rng = ctx.rng("ideal-membership")
     full = ctx.pairs()
-    plus = [s for s in full if s.in_bplus()]
+    plus = ctx.pairs(bplus=True)
     anchors = _subset(ctx.elements(), 5, rng)
     probes = _subset(full, 40, rng)
     # brute pools may be thinned, but the canonical witness (the probe
@@ -663,7 +643,7 @@ def c_ideal_membership(ctx: _Ctx) -> Outcome:
 def c_rep_soundness(ctx: _Ctx) -> Outcome:
     pool = ctx.pairs()
     cases = 0
-    for s, t in _pair_samples(pool, 6000, ctx.rng("rep-soundness")):
+    for s, t in _tuples(pool, 2, 6000, ctx.rng("rep-soundness")):
         cases += 1
         if not pair_product_matches_shifts(s, t):
             return "fail", cases, f"pair product and shift composite split on {s}, {t}"
@@ -675,9 +655,9 @@ def c_pointwise_composition(ctx: _Ctx) -> Outcome:
     rng = ctx.rng("pointwise")
     anchors = ctx.elements()
     w = ctx.window
-    points = _subset(ctx.elements((-w, 2 * w)) if g.enumerable else ctx.elements(2 * w), 15, rng)
-    shift_pairs = _pair_samples(
-        [PartialShift(g, a, b) for a, b in _pair_samples(anchors, 60, rng)], 500, rng
+    points = _subset(ctx.elements((-w, 2 * w)), 15, rng)
+    shift_pairs = _tuples(
+        [PartialShift(g, a, b) for a, b in _tuples(anchors, 2, 60, rng)], 2, 500, rng
     )
     cases = 0
     for m1, m2 in shift_pairs:
@@ -691,9 +671,9 @@ def c_shift_bijectivity(ctx: _Ctx) -> Outcome:
     g = ctx.group
     rng = ctx.rng("bijectivity")
     w = ctx.window
-    points = ctx.elements((-w, 2 * w)) if g.enumerable else ctx.elements(2 * w)
+    points = ctx.elements((-w, 2 * w))
     cases = 0
-    for a, b in _pair_samples(ctx.elements(), 200, rng):
+    for a, b in _tuples(ctx.elements(), 2, 200, rng):
         shift = PartialShift(g, a, b)
         back = shift.inverse()
         seen = set()
@@ -721,7 +701,7 @@ def c_witness_chains(ctx: _Ctx) -> Outcome:
     # chain endpoints are drawn from the same elements the candidate pairs
     # are built over, so both unique solutions are inside the brute window
     coords = ctx.pool_elements()
-    candidates = [BElement(g, a, b) for a in coords for b in coords]
+    candidates = ctx.pairs()
     count = max(4, min(25, BUDGET // max(1, 2 * len(candidates))))
     cases = 0
     for _ in range(count):
@@ -763,21 +743,14 @@ def c_escape_region_sweep(ctx: _Ctx) -> Outcome:
     if g.densely_ordered:
         return "not-applicable", 0, None
     rng = ctx.rng("escape-sweep")
-    elems = ctx.elements()
     anchors = [g.identity] + _subset(
-        [e for e in elems if e != g.identity], 2, rng
+        [e for e in ctx.elements() if e != g.identity], 2, rng
     )
     cases = 0
     for anchor in anchors:
         idem_pair = idempotent(g, anchor)
         succ = g.successor(anchor)
-        region = [
-            (x, y)
-            for x in elems
-            if g.leq(x, anchor)
-            for y in elems
-            if g.leq(y, anchor) and x != y
-        ]
+        region = list(escape_region(g, anchor, ctx.window))
         for x, y in _subset(region, 1500, rng):
             cases += 1
             point = BElement(g, x, y)

@@ -10,6 +10,7 @@ from bicext.certificates import (
     density_probe,
     dl_set_member,
     escape_certificate,
+    escape_region,
 )
 from bicext.errors import InstanceMismatch, NotApplicable, PreconditionViolated
 from bicext.natorder import SolutionKind, ideal_member, nat_leq, solve_left, solve_right
@@ -159,6 +160,28 @@ def test_escape_region_sweep_complete():
         else:
             assert cert.product == be(Z, x, y) * idem_pair
             assert Z.geq(cert.product.left, succ)
+
+
+@pytest.mark.parametrize("group, window", [(Z, 3), (ZXZ, 2), (H3, 1)])
+def test_escape_region_is_the_certificate_domain(group, window):
+    # the region lists, in window order, exactly the points a certificate
+    # accepts; the anchors include the window's least and greatest elements
+    elems = group.elements(window)
+    for anchor in (elems[0], group.identity, elems[-2], elems[-1]):
+        idem_pair = idempotent(group, anchor)
+        accepted = []
+        for x, y in itertools.product(elems, repeat=2):
+            try:
+                escape_certificate(idem_pair, be(group, x, y))
+            except PreconditionViolated:
+                continue
+            accepted.append((x, y))
+        assert list(escape_region(group, anchor, window)) == accepted
+
+
+def test_escape_region_not_applicable_on_rationals():
+    with pytest.raises(NotApplicable):
+        list(escape_region(Q, Fraction(0), 2))
 
 
 # --- diagonal stabilizer ----------------------------------------------------------

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bicext.cli import main
 
@@ -161,9 +165,69 @@ def test_check_rejects_unknown_suite(capsys):
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "mul", "[oops|2]", "[1|1]")
     assert code == 2 and "literal error" in err
+    code, _, err = run(capsys, "mul", "[" + "9" * 5000 + "|0]", "[1|1]")
+    assert code == 2 and "literal error" in err and "(offset 1)" in err
 
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["mul", "--group", "Nope", "[1|1]", "[1|1]"])
     assert exc.value.code == 2
+
+
+_NOISE = st.text("[]|(),/-+ 0123456789x", max_size=10)
+_PAYLOAD = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.fractions(max_denominator=50).map(str),
+    st.lists(st.integers(-99, 99), min_size=1, max_size=4).map(
+        lambda v: "(" + ",".join(map(str, v)) + ")"
+    ),
+    _NOISE,
+)
+_PAIR = st.one_of(st.tuples(_PAYLOAD, _PAYLOAD).map(lambda p: f"[{p[0]}|{p[1]}]"), _NOISE)
+
+
+@st.composite
+def _literal_argv(draw):
+    """A bounded-work command with random literals in every literal slot."""
+    group = draw(st.sampled_from(["Z", "Q", "ZxZ", "H3"]))
+    common = ["--group", group, "--output", draw(st.sampled_from(["text", "json"]))]
+    bplus = ["--bplus"] if draw(st.booleans()) else []
+    cmd = draw(st.sampled_from(["mul", "inv", "leq", "solve", "ideal", "witness", "pmap"]))
+    if cmd == "mul":
+        return ["mul", *common, draw(_PAIR), draw(_PAIR)]
+    if cmd == "inv":
+        return ["inv", *common, draw(_PAIR)]
+    if cmd == "leq":
+        return ["leq", *common, f"--s={draw(_PAIR)}", f"--t={draw(_PAIR)}"]
+    if cmd == "solve":
+        side = draw(st.sampled_from(["left", "right", "sandwich"]))
+        if side == "sandwich":
+            known = [f"--leftk={draw(_PAIR)}", f"--rightk={draw(_PAIR)}"]
+        else:
+            known = [f"--known={draw(_PAIR)}"]
+        return ["solve", *common, f"--target={draw(_PAIR)}", f"--side={side}", *known, *bplus]
+    if cmd == "ideal":
+        side = draw(st.sampled_from(["left", "right"]))
+        anchor = f"--anchor={draw(_PAYLOAD)}"
+        return ["ideal", *common, f"--element={draw(_PAIR)}", anchor, f"--side={side}", *bplus]
+    if cmd == "witness":
+        return ["witness", *common, f"--seed={draw(_PAIR)}", f"--target={draw(_PAIR)}"]
+    shift = [f"--g={draw(_PAYLOAD)}", f"--h={draw(_PAYLOAD)}", f"--x={draw(_PAYLOAD)}"]
+    return ["pmap", "apply", *common, *shift]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_literal_argv())
+@example(["mul", "[" + "9" * 5000 + "|0]", "[1|1]"])
+@example(["solve", "--group", "Q", "--target=[1/0|1]", "--known=[1|1]"])
+def test_exit_code_contract_on_random_literals(argv):
+    # 0 success, 1 failed check, 2 usage error; never an uncaught exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -69,6 +69,25 @@ def test_parse_errors_carry_offsets():
         parse_payload("", Z)
 
 
+def test_overlong_integer_literal_is_a_parse_error():
+    # Python refuses str-to-int conversions past its digit limit (4300 by
+    # default); the parser reports that as a literal error with an offset
+    nines = "9" * 5000
+    cases = [
+        (f"[{nines}|0]", Z, 1),
+        (f"[0|-{nines}]", Z, 3),
+        (f"[{nines}/7|0]", Q, 1),
+        (f"[1/{nines}|0]", Q, 3),
+        (f"[(0, {nines})|(0,0)]", ZXZ, 5),
+        (f"[(0,0,0)|(1,2,{nines})]", H3, 14),
+    ]
+    for text, group, offset in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_pair(text, group)
+        assert exc.value.offset == offset
+        assert "digits" in str(exc.value)
+
+
 def test_wrong_arity():
     with pytest.raises(ParseError):
         parse_payload("(1,2)", H3)

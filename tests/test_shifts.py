@@ -45,12 +45,6 @@ def test_compose_anchor_examples():
     )
 
 
-def test_then_is_diagrammatic():
-    m1 = PartialShift(Z, 0, 2)
-    m2 = PartialShift(Z, 1, 3)
-    assert m1.then(m2) == compose(m1, m2)
-
-
 def test_pointwise_oracle_on_integers():
     samples = list(range(-4, 9))
     anchors = Z.elements(3)
