@@ -3,8 +3,9 @@ the property-suite runner.
 
 Exit codes: 0 for success (including not-applicable verdicts), 1 when a
 suite or composition check fails, 2 for usage errors (bad flags, bad
-literals, operations invoked outside their stated domain).  JSON output
-is schema-stable and sorted; text output is for reading.
+literals, operations invoked outside their stated domain) and for results
+too long to render.  JSON output is schema-stable and sorted; text output
+is for reading.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .ogroups import GROUPS
 from .pairs import BElement
 from .shifts import PartialShift, compose_pointwise_oracle
 from .suites import SuiteConfig, run_suites
+
+# most shift pairs `pmap check-compose` sweeps; ZxZ at window 1 needs 6,561
+COMPOSE_PAIR_BUDGET = 10_000
 
 
 def _emit(payload: dict, output: str, text: str):
@@ -132,8 +136,20 @@ def _cmd_pmap(args) -> int:
         _emit({"value": group.render(value)}, args.output, group.render(value))
         return 0
     # check-compose: every anchor-pair combination over the window,
-    # evaluated pointwise on window sample points
-    elems = group.elements(args.window) if group.enumerable else group.sample_grid(args.window)
+    # evaluated pointwise on window sample points.  A window holds at least
+    # its 2w+1 integers, so a wide one is refused on that count before any
+    # element is built.
+    n = 2 * args.window + 1
+    if n**4 <= COMPOSE_PAIR_BUDGET:
+        elems = group.elements(args.window) if group.enumerable else group.sample_grid(args.window)
+        n = len(elems)
+    if n**4 > COMPOSE_PAIR_BUDGET:
+        print(
+            f"pmap check-compose at window {args.window} would sweep at least {n**4} "
+            f"shift pairs, over the budget of {COMPOSE_PAIR_BUDGET}; use a smaller --window",
+            file=sys.stderr,
+        )
+        return 2
     points = elems if group.enumerable else group.sample_grid(2 * args.window)
     shifts = [PartialShift(group, a, b) for a in elems for b in elems]
     checked = 0
@@ -309,6 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exceeds_digit_limit(exc: ValueError) -> bool:
+    """True when ``exc`` is the interpreter refusing to render an integer
+    longer than its str-conversion digit limit; literals past that limit
+    are parse errors already, so only a computed result gets here."""
+    try:
+        str(10 ** sys.get_int_max_str_digits())
+    except ValueError as probe:
+        return exc.args == probe.args
+    return False
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -332,7 +359,15 @@ def main(argv: Optional[list] = None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"invalid request: {exc}", file=sys.stderr)
+        if not _exceeds_digit_limit(exc):
+            print(f"invalid request: {exc}", file=sys.stderr)
+            return 2
+        limit = sys.get_int_max_str_digits()
+        reason = f"the result holds an integer longer than {limit} digits, which cannot be rendered"
+        if args.output == "json":
+            _emit({"result_error": reason, "digit_limit": limit}, args.output, "")
+        else:
+            print(f"result error: {reason}", file=sys.stderr)
         return 2
 
 

@@ -23,17 +23,18 @@ from .errors import (
 )
 from .literals import pair_to_json
 from .ogroups import Bounds, Element
-from .pairs import BElement, idempotent, pairs_in_window
+from .pairs import BElement, _make, pairs_in_window
 
 Side = Literal["left", "right"]
 
 
 def _same_instance(s: BElement, t: BElement):
-    if s.group != t.group:
+    g = s.group
+    if t.group is not g and t.group != g:
         raise InstanceMismatch(
-            f"{s.group.name} pair mixed with {t.group.name} pair"
+            f"{g.name} pair mixed with {t.group.name} pair"
         )
-    return s.group
+    return g
 
 
 def nat_leq(s: BElement, t: BElement) -> bool:
@@ -70,11 +71,12 @@ def nat_leq_oracle(s: BElement, t: BElement, radius: int = 2) -> bool:
     g = _same_instance(s, t)
     via_left = (s * s.inverse()) * t == s
     via_right = (t * s.inverse()) * s == s
+    steps = [g.power(g.designated_positive, k) for k in range(-radius, radius + 1)]
     anchors = set()
     for base in (s.left, s.right, t.left, t.right):
-        for k in range(-radius, radius + 1):
-            anchors.add(g.mul(base, g.power(g.designated_positive, k)))
-    via_idem = any(idempotent(g, x) * t == s for x in anchors)
+        for step in steps:
+            anchors.add(g.mul(base, step))
+    via_idem = any(_make(g, x, x) * t == s for x in anchors)
     if via_left == via_right == via_idem:
         return via_left
     raise InternalDisagreement(
@@ -152,11 +154,11 @@ def solve_right(target: BElement, known: BElement, bplus: bool = False) -> Solut
     if verdict < 0:
         return SolutionSet.none()
     if verdict > 0:
-        w = BElement(g, g.mul(g.mul(a, g.inv(c)), d), b)
+        w = _make(g, g.mul(g.mul(a, g.inv(c)), d), b)
         if known * w != target or (bplus and not w.in_bplus()):
             raise InternalError(f"solve_right produced a bad solution {w}")
         return SolutionSet.unique(w)
-    return SolutionSet.up_set(BElement(g, d, b))
+    return SolutionSet.up_set(_make(g, d, b))
 
 
 def solve_left(target: BElement, known: BElement, bplus: bool = False) -> SolutionSet:
@@ -171,11 +173,11 @@ def solve_left(target: BElement, known: BElement, bplus: bool = False) -> Soluti
     if verdict < 0:
         return SolutionSet.none()
     if verdict > 0:
-        w = BElement(g, a, g.mul(g.mul(b, g.inv(d)), c))
+        w = _make(g, a, g.mul(g.mul(b, g.inv(d)), c))
         if w * known != target or (bplus and not w.in_bplus()):
             raise InternalError(f"solve_left produced a bad solution {w}")
         return SolutionSet.unique(w)
-    return SolutionSet.up_set(BElement(g, a, c))
+    return SolutionSet.up_set(_make(g, a, c))
 
 
 def solve_sandwich(
@@ -200,7 +202,7 @@ def solve_sandwich(
         )
     if bplus:
         _require_bplus(target, leftk, rightk)
-    return SolutionSet.up_set(BElement(g, leftk.right, rightk.left))
+    return SolutionSet.up_set(_make(g, leftk.right, rightk.left))
 
 
 def ideal_member(

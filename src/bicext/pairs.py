@@ -5,37 +5,65 @@ cone at ``b``; composing two shifts collapses to the closed formula in
 ``__mul__``.  One type serves both the full pair semigroup and its
 positive-coordinate subsemigroup: membership in the latter is a
 predicate, not a separate class.
+
+Payloads are validated at the boundary only: the public constructor,
+``idempotent`` and the literal parser check them with ``contains``.
+Products, inverses and solver results are built unchecked, because a
+carrier is closed under its own ``mul`` and ``inv``; the ``group-laws``
+suite check guards that closure on every carrier it runs over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import List
 
 from .errors import InstanceMismatch
 from .ogroups import Bounds, Element, OrderedGroup
 
 
-@dataclass(frozen=True)
 class BElement:
-    """One element of the pair semigroup over a fixed ordered group."""
+    """One element of the pair semigroup over a fixed ordered group.
 
-    group: OrderedGroup
-    left: Element
-    right: Element
+    An immutable value: equal pairs hash alike, and assigning or deleting
+    a field raises ``FrozenInstanceError`` (an ``AttributeError``).
+    """
 
-    def __post_init__(self):
-        if not (self.group.contains(self.left) and self.group.contains(self.right)):
+    __slots__ = ("group", "left", "right")
+    __match_args__ = ("group", "left", "right")
+
+    def __init__(self, group: OrderedGroup, left: Element, right: Element):
+        if not (group.contains(left) and group.contains(right)):
             raise ValueError(
-                f"payload outside the {self.group.name} carrier: "
-                f"{self.left!r}, {self.right!r}"
+                f"payload outside the {group.name} carrier: {left!r}, {right!r}"
             )
+        _set_group(self, group)
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the checked constructor
+        return BElement, (self.group, self.left, self.right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.left, self.right) == (other.group, other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.group, self.left, self.right))
 
     def __mul__(self, other: "BElement") -> "BElement":
         if not isinstance(other, BElement):
             return NotImplemented
         g = self.group
-        if other.group != g:
+        if other.group is not g and other.group != g:
             raise InstanceMismatch(
                 f"cannot multiply a {g.name} pair with a {other.group.name} pair"
             )
@@ -43,14 +71,14 @@ class BElement:
         c, d = other.left, other.right
         verdict = g.cmp(b, c)
         if verdict < 0:
-            return BElement(g, g.mul(g.mul(c, g.inv(b)), a), d)
+            return _make(g, g.mul(g.mul(c, g.inv(b)), a), d)
         if verdict == 0:
-            return BElement(g, a, d)
-        return BElement(g, a, g.mul(g.mul(b, g.inv(c)), d))
+            return _make(g, a, d)
+        return _make(g, a, g.mul(g.mul(b, g.inv(c)), d))
 
     def inverse(self) -> "BElement":
         """Swap coordinates; the unique semigroup inverse."""
-        return BElement(self.group, self.right, self.left)
+        return _make(self.group, self.right, self.left)
 
     def is_idempotent(self) -> bool:
         return self.left == self.right
@@ -65,6 +93,22 @@ class BElement:
 
     def __repr__(self):
         return f"BElement({self.group.name}, {self.left!r}, {self.right!r})"
+
+
+_new = object.__new__
+# the slots' own setters: they bypass the raising __setattr__
+_set_group = BElement.group.__set__
+_set_left = BElement.left.__set__
+_set_right = BElement.right.__set__
+
+
+def _make(group: OrderedGroup, left: Element, right: Element) -> BElement:
+    """Unchecked constructor for payloads the carrier produced itself."""
+    s = _new(BElement)
+    _set_group(s, group)
+    _set_left(s, left)
+    _set_right(s, right)
+    return s
 
 
 def idempotent(group: OrderedGroup, x: Element) -> BElement:

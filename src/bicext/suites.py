@@ -202,18 +202,30 @@ Outcome = Tuple[str, int, Optional[str]]
 
 
 def c_group_laws(ctx: _Ctx) -> Outcome:
+    # pair products build their results unchecked, so this check is also
+    # the guard that mul and inv never leave the carrier
     g = ctx.group
+    closed = g.contains
     elems = ctx.elements()
     cases = 0
     for a, b, c in _tuples(elems, 3, 4000, ctx.rng("group-laws")):
         cases += 1
-        if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
+        ab, bc = g.mul(a, b), g.mul(b, c)
+        lhs, rhs = g.mul(ab, c), g.mul(a, bc)
+        if not all(map(closed, (ab, bc, lhs, rhs))):
+            return "fail", cases, f"a product left the carrier at {g.render(a)}, {g.render(b)}, {g.render(c)}"
+        if lhs != rhs:
             return "fail", cases, f"associativity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}"
+    e = g.identity
     for a in elems:
         cases += 1
-        if g.mul(a, g.identity) != a or g.mul(g.identity, a) != a:
+        ia = g.inv(a)
+        ae, ea, a_ia, ia_a = g.mul(a, e), g.mul(e, a), g.mul(a, ia), g.mul(ia, a)
+        if not all(map(closed, (ia, ae, ea, a_ia, ia_a))):
+            return "fail", cases, f"an inverse or product left the carrier at {g.render(a)}"
+        if ae != a or ea != a:
             return "fail", cases, f"identity law broke at {g.render(a)}"
-        if g.mul(a, g.inv(a)) != g.identity or g.mul(g.inv(a), a) != g.identity:
+        if a_ia != e or ia_a != e:
             return "fail", cases, f"inverse law broke at {g.render(a)}"
     return "pass", cases, None
 

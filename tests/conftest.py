@@ -19,9 +19,28 @@ class TamperedIntegerGroup(IntegerGroup):
         return (a > b) - (a < b)
 
 
+class LeakyIntegerGroup(IntegerGroup):
+    """Integer carrier whose product leaves the carrier at the value 3.
+
+    The float it returns there compares equal to the int, so every
+    equation holds and only a closure test can notice.
+    """
+
+    name = "Zleaky"
+
+    def mul(self, g, h):
+        out = g + h
+        return float(out) if out == 3 else out
+
+
 @pytest.fixture
 def broken_group():
     return TamperedIntegerGroup()
+
+
+@pytest.fixture
+def leaky_group():
+    return LeakyIntegerGroup()
 
 
 @pytest.fixture(params=sorted(GROUPS))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -113,6 +114,19 @@ def test_pmap_check_compose(capsys):
     assert payload["ok"] and payload["pairs"] == 81 * 81
 
 
+def test_pmap_check_compose_pair_budget(capsys):
+    # H3 at window 1 has 27 elements, so 729**2 shift pairs: refused at once
+    code, out, err = run(capsys, "pmap", "check-compose", "--group", "H3", "--window", "1")
+    assert code == 2 and out == ""
+    assert "531441 shift pairs" in err and "budget of 10000" in err
+    # a wide window is refused before its elements are built
+    code, out, err = run(capsys, "pmap", "check-compose", "--window", "1000000000")
+    assert code == 2 and out == "" and "budget of 10000" in err
+    code, out, _ = run(capsys, "pmap", "check-compose", "--group", "ZxZ", "--window", "1")
+    assert code == 0
+    assert out == "ok: 6561 composite pairs agree on 9 sample points\n"
+
+
 def test_witness(capsys):
     code, out, _ = run(
         capsys, "witness", "--seed", "[0|0]", "--target", "[-3|7]", "--output", "json"
@@ -167,6 +181,19 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "literal error" in err
     code, _, err = run(capsys, "mul", "[" + "9" * 5000 + "|0]", "[1|1]")
     assert code == 2 and "literal error" in err and "(offset 1)" in err
+
+
+def test_unrenderable_result_is_a_result_error(capsys):
+    # both literals sit at the digit limit; their product is one digit longer
+    limit = sys.get_int_max_str_digits()
+    argv = ["mul", "[" + "9" * limit + "|0]", "[" + "9" * limit + "|0]"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("result error:") and f"{limit} digits" in err
+    code, out, err = run(capsys, *argv, "--output", "json")
+    assert code == 2 and err == ""
+    payload = json.loads(out)
+    assert payload["digit_limit"] == limit and f"{limit} digits" in payload["result_error"]
 
 
 def test_usage_error_exit_code():

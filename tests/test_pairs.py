@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bicext.errors import InstanceMismatch
-from bicext.ogroups import H3, Q, Z, ZXZ
+from bicext.natorder import nat_leq
+from bicext.ogroups import GROUPS, H3, Q, Z, ZXZ
 from bicext.pairs import BElement, idempotent, pairs_in_window
 
 
@@ -68,6 +72,8 @@ def test_carrier_validation():
         be(ZXZ, (1, 2, 3), (0, 0))
     with pytest.raises(ValueError):
         be(Q, 1, 1)  # rationals must be Fraction payloads
+    with pytest.raises(ValueError):
+        idempotent(H3, (0, 0))
 
 
 def test_associativity_small_windows():
@@ -129,3 +135,80 @@ def test_str_and_repr():
     s = be(ZXZ, (0, 1), (1, 0))
     assert str(s) == "[(0,1)|(1,0)]"
     assert "ZxZ" in repr(s)
+
+
+def _sample(group):
+    """A pair on ``group`` with distinct coordinates."""
+    return be(group, group.identity, group.designated_positive)
+
+
+def test_value_semantics(any_group):
+    s = _sample(any_group)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and hash(twin) == hash(s)
+        assert (twin.left, twin.right) == (s.left, s.right)
+    for field in ("group", "left", "right"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, s.left)
+        with pytest.raises(AttributeError):
+            delattr(s, field)
+    assert s != (any_group, s.left, s.right)
+
+
+def test_carrier_instances_compare_by_type(any_group):
+    # separately constructed carriers of one type are interchangeable
+    twin = type(any_group)()
+    s, t = _sample(any_group), _sample(twin)
+    assert s == t and hash(s) == hash(t)
+    assert s * t == t * s == s * s
+    assert nat_leq(s, t)
+    for other in GROUPS.values():
+        if type(other) is not type(any_group):
+            with pytest.raises(InstanceMismatch):
+                s * _sample(other)
+            with pytest.raises(InstanceMismatch):
+                nat_leq(s, _sample(other))
+
+
+def _counting(carrier):
+    """A carrier of the same type as ``carrier`` that tallies its calls."""
+    calls = Counter()
+
+    class Counting(type(carrier)):
+        def mul(self, g, h):
+            calls["mul"] += 1
+            return super().mul(g, h)
+
+        def inv(self, g):
+            calls["inv"] += 1
+            return super().inv(g)
+
+        def cmp(self, g, h):
+            calls["cmp"] += 1
+            return super().cmp(g, h)
+
+        def contains(self, x):
+            calls["contains"] += 1
+            return super().contains(x)
+
+    return Counting(), calls
+
+
+def test_products_validate_nothing(any_group):
+    # payloads are checked once at the boundary; products and inverses,
+    # whose payloads the carrier made itself, check nothing
+    g = any_group
+    one = g.designated_positive
+    lo, mid, hi = g.inv(one), g.identity, one
+    counting, calls = _counting(g)
+    BElement(counting, lo, hi)
+    assert calls == {"contains": 2}
+    left = BElement(counting, lo, mid)
+    for right in (BElement(counting, hi, lo), BElement(counting, mid, hi), BElement(counting, lo, lo)):
+        calls.clear()
+        product = left * right
+        assert calls["contains"] == 0 and calls["cmp"] == 1
+        assert g.contains(product.left) and g.contains(product.right)
+    calls.clear()
+    left.inverse()
+    assert not calls

@@ -51,6 +51,16 @@ def test_broken_group_fails_axioms_with_counterexample(broken_group):
     assert "1" in by_name["cone-axioms"].counterexample
 
 
+def test_group_laws_catch_a_product_leaving_the_carrier(leaky_group):
+    report = run_suites(
+        SuiteConfig(group=leaky_group, window=2, suites=("axioms",))
+    )
+    by_name = {c.name: c for c in report.checks}
+    laws = by_name["group-laws"]
+    assert laws.status == "fail"
+    assert "left the carrier" in laws.counterexample
+
+
 def test_reports_are_deterministic():
     cfg = SuiteConfig(group="ZxZ", window=2, sample_seed=7)
     a = json.dumps(_strip_wall(run_suites(cfg).to_json()), sort_keys=True)
