@@ -11,6 +11,7 @@ instead of being returned.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Tuple
@@ -155,20 +156,47 @@ class EscapeCertificate:
     excluded_region: ExcludedRegion
 
 
+class _OffDiagonal(abc.Sequence):
+    """The pairs (x, y) of distinct entries of ``below``, row by row.
+
+    A sized, indexable view: index i decodes to row i // (m-1) and the
+    (i % (m-1))-th entry of that row with the diagonal skipped, so a
+    sampler can draw points without the m*(m-1) list being built.
+    """
+
+    def __init__(self, below: Sequence[Element]):
+        self._below = below
+        self._row = len(below) - 1  # entries per row: the diagonal is skipped
+
+    def __len__(self) -> int:
+        return len(self._below) * self._row
+
+    def __getitem__(self, i: int) -> Tuple[Element, Element]:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        row, j = divmod(i, self._row)
+        return self._below[row], self._below[j if j < row else j + 1]
+
+    def __iter__(self) -> Iterator[Tuple[Element, Element]]:
+        # the same points as indexing 0, 1, ..., at a quarter of the cost
+        for x in self._below:
+            for y in self._below:
+                if x != y:
+                    yield x, y
+
+
 def escape_region(
     group: OrderedGroup, anchor: Element, bounds: Bounds
-) -> Iterator[Tuple[Element, Element]]:
+) -> Sequence[Tuple[Element, Element]]:
     """Coordinates of the escape-region points in the window, in window order.
 
     These are exactly the points ``escape_certificate`` accepts for the
-    anchor: both coordinates at or below it, off the diagonal.  Raises
+    anchor: both coordinates at or below it, off the diagonal.  The result
+    is a lazy view, so its length and any one point cost O(1) once the
+    window elements at or below the anchor are listed.  Raises
     NotApplicable when the carrier cannot be enumerated.
     """
-    below = [x for x in group.elements(bounds) if group.leq(x, anchor)]
-    for x in below:
-        for y in below:
-            if x != y:
-                yield x, y
+    return _OffDiagonal([x for x in group.elements(bounds) if group.leq(x, anchor)])
 
 
 def escape_certificate(idem_pair: BElement, point: BElement) -> EscapeCertificate:

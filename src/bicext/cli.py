@@ -11,6 +11,7 @@ is for reading.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -34,6 +35,8 @@ from .suites import SuiteConfig, run_suites
 
 # most shift pairs `pmap check-compose` sweeps; ZxZ at window 1 needs 6,561
 COMPOSE_PAIR_BUDGET = 10_000
+# most window pairs `upset` scans and `escape` covers; ZxZ at window 4 has 6,561
+WINDOW_PAIR_BUDGET = 10_000
 
 
 def _emit(payload: dict, output: str, text: str):
@@ -41,6 +44,23 @@ def _emit(payload: dict, output: str, text: str):
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(text)
+
+
+def _refuse_window(command: str, window: int, work: str, budget: int) -> int:
+    """Report a window whose ``work`` is over ``budget``; the exit code is 2."""
+    print(
+        f"{command} at window {window} would {work}, over the budget of {budget}; "
+        "use a smaller --window",
+        file=sys.stderr,
+    )
+    return 2
+
+
+def _window_pairs(group, window: int) -> int:
+    """Pairs of window elements, counted from the 2w+1 integers of each
+    coordinate before any element is built; on Q this bounds the sample
+    grid too.  A negative window counts as empty: the library rejects it."""
+    return (2 * max(window, 0) + 1) ** (2 * group.payload_arity)
 
 
 def _cmd_mul(args) -> int:
@@ -114,6 +134,10 @@ def _cmd_ideal(args) -> int:
 def _cmd_upset(args) -> int:
     group = GROUPS[args.group]
     base = parse_pair(args.base, group)
+    pairs = _window_pairs(group, args.window)
+    if pairs > WINDOW_PAIR_BUDGET:
+        work = f"scan {pairs} window pairs"
+        return _refuse_window("upset", args.window, work, WINDOW_PAIR_BUDGET)
     members = up_set_window(base, args.window, bplus=args.bplus)
     payload = {
         "base": pair_to_json(base),
@@ -144,12 +168,8 @@ def _cmd_pmap(args) -> int:
         elems = group.elements(args.window) if group.enumerable else group.sample_grid(args.window)
         n = len(elems)
     if n**4 > COMPOSE_PAIR_BUDGET:
-        print(
-            f"pmap check-compose at window {args.window} would sweep at least {n**4} "
-            f"shift pairs, over the budget of {COMPOSE_PAIR_BUDGET}; use a smaller --window",
-            file=sys.stderr,
-        )
-        return 2
+        work = f"sweep at least {n**4} shift pairs"
+        return _refuse_window("pmap check-compose", args.window, work, COMPOSE_PAIR_BUDGET)
     points = elems if group.enumerable else group.sample_grid(2 * args.window)
     shifts = [PartialShift(group, a, b) for a in elems for b in elems]
     checked = 0
@@ -198,6 +218,10 @@ def _cmd_escape(args) -> int:
     group = GROUPS[args.group]
     anchor = parse_payload(args.a, group)
     idem = BElement(group, anchor, anchor)
+    pairs = _window_pairs(group, args.window)
+    if pairs > WINDOW_PAIR_BUDGET:
+        work = f"cover {pairs} window pairs"
+        return _refuse_window("escape", args.window, work, WINDOW_PAIR_BUDGET)
     if group.densely_ordered:
         samples = group.sample_grid(args.window)
         verdict = density_probe(group, samples)
@@ -255,7 +279,15 @@ def _cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one shared ``bicext`` parser, built on the first call.
+
+    Every later call returns the same object, so callers must not mutate
+    it.  Reuse is safe because ``parse_args`` returns a fresh namespace,
+    no action has a mutable default, and argparse looks up
+    ``sys.stdout``/``sys.stderr`` when it prints, not when it is built.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", default="Z", choices=sorted(GROUPS))
     common.add_argument("--output", default="text", choices=["text", "json"])

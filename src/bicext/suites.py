@@ -762,8 +762,7 @@ def c_escape_region_sweep(ctx: _Ctx) -> Outcome:
     for anchor in anchors:
         idem_pair = idempotent(g, anchor)
         succ = g.successor(anchor)
-        region = list(escape_region(g, anchor, ctx.window))
-        for x, y in _subset(region, 1500, rng):
+        for x, y in _subset(escape_region(g, anchor, ctx.window), 1500, rng):
             cases += 1
             point = BElement(g, x, y)
             cert = escape_certificate(idem_pair, point)

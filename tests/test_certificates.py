@@ -176,7 +176,9 @@ def test_escape_region_is_the_certificate_domain(group, window):
             except PreconditionViolated:
                 continue
             accepted.append((x, y))
-        assert list(escape_region(group, anchor, window)) == accepted
+        region = escape_region(group, anchor, window)
+        assert list(region) == accepted
+        assert [region[i] for i in range(len(region))] == accepted
 
 
 def test_escape_region_not_applicable_on_rationals():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -127,6 +128,18 @@ def test_pmap_check_compose_pair_budget(capsys):
     assert out == "ok: 6561 composite pairs agree on 9 sample points\n"
 
 
+def test_upset_and_escape_window_budget(capsys):
+    # H3 at the default window 4 has 729**2 window pairs: refused at once
+    for argv in (["upset", "--base", "[(0,0,0)|(0,0,0)]"], ["escape", "--a", "(0,0,0)"]):
+        code, out, err = run(capsys, *argv, "--group", "H3")
+        assert code == 2 and out == ""
+        assert "531441 window pairs" in err and "budget of 10000" in err
+    # a wide window is refused before its elements are built
+    for argv in (["upset", "--base", "[0|0]"], ["escape", "--a", "0"]):
+        code, out, err = run(capsys, *argv, "--window", "1000000000")
+        assert code == 2 and out == "" and "budget of 10000" in err
+
+
 def test_witness(capsys):
     code, out, _ = run(
         capsys, "witness", "--seed", "[0|0]", "--target", "[-3|7]", "--output", "json"
@@ -202,6 +215,36 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once(monkeypatch, capsys):
+    # counts parser objects, not time: one parser tree is 12 of them
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    main(["mul", "[1|2]", "[3|4]"])
+    main(["leq", "--s", "[3|5]", "--t", "[1|3]"])
+    with pytest.raises(SystemExit):
+        main(["mul", "--group", "Nope", "[1|1]", "[1|1]"])
+    main(["inv", "[3|5]"])
+    main(["check", "--suites", "ideals", "--window", "1"])
+    capsys.readouterr()
+    assert len(built) <= 12
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    with pytest.raises(SystemExit):
+        main(["upset", "--window"])
+    assert run(capsys, "upset", "--base", "[2|3]", "--window", "2")[0] == 0
+    code, out, _ = run(capsys, "upset", "--base", "[2|3]", "--output", "json")
+    assert code == 0 and json.loads(out)["window"] == [-4, 4]
+    first = run(capsys, "mul", "[1|2]", "[3|4]")
+    assert run(capsys, "mul", "[1|2]", "[3|4]") == first
+
+
 _NOISE = st.text("[]|(),/-+ 0123456789x", max_size=10)
 _PAYLOAD = st.one_of(
     st.integers(-10**6, 10**6).map(str),
@@ -212,15 +255,19 @@ _PAYLOAD = st.one_of(
     _NOISE,
 )
 _PAIR = st.one_of(st.tuples(_PAYLOAD, _PAYLOAD).map(lambda p: f"[{p[0]}|{p[1]}]"), _NOISE)
+_WINDOW = st.one_of(st.integers(-2, 5), st.integers(-10**12, 10**12))
 
 
 @st.composite
 def _literal_argv(draw):
-    """A bounded-work command with random literals in every literal slot."""
+    """A bounded-work command with random literals in every literal slot and,
+    for the window commands, a random window."""
     group = draw(st.sampled_from(["Z", "Q", "ZxZ", "H3"]))
     common = ["--group", group, "--output", draw(st.sampled_from(["text", "json"]))]
     bplus = ["--bplus"] if draw(st.booleans()) else []
-    cmd = draw(st.sampled_from(["mul", "inv", "leq", "solve", "ideal", "witness", "pmap"]))
+    cmd = draw(st.sampled_from(
+        ["mul", "inv", "leq", "solve", "ideal", "witness", "pmap", "upset", "escape", "compose"]
+    ))
     if cmd == "mul":
         return ["mul", *common, draw(_PAIR), draw(_PAIR)]
     if cmd == "inv":
@@ -240,8 +287,15 @@ def _literal_argv(draw):
         return ["ideal", *common, f"--element={draw(_PAIR)}", anchor, f"--side={side}", *bplus]
     if cmd == "witness":
         return ["witness", *common, f"--seed={draw(_PAIR)}", f"--target={draw(_PAIR)}"]
-    shift = [f"--g={draw(_PAYLOAD)}", f"--h={draw(_PAYLOAD)}", f"--x={draw(_PAYLOAD)}"]
-    return ["pmap", "apply", *common, *shift]
+    if cmd == "pmap":
+        shift = [f"--g={draw(_PAYLOAD)}", f"--h={draw(_PAYLOAD)}", f"--x={draw(_PAYLOAD)}"]
+        return ["pmap", "apply", *common, *shift]
+    window = f"--window={draw(_WINDOW)}"
+    if cmd == "upset":
+        return ["upset", *common, window, f"--base={draw(_PAIR)}", *bplus]
+    if cmd == "escape":
+        return ["escape", *common, window, f"--a={draw(_PAYLOAD)}"]
+    return ["pmap", "check-compose", *common, window]
 
 
 @settings(max_examples=300, deadline=None)
