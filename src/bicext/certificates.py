@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import abc
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (
     InstanceMismatch,
@@ -176,13 +176,6 @@ class _OffDiagonal(abc.Sequence):
             raise IndexError(i)
         row, j = divmod(i, self._row)
         return self._below[row], self._below[j if j < row else j + 1]
-
-    def __iter__(self) -> Iterator[Tuple[Element, Element]]:
-        # the same points as indexing 0, 1, ..., at a quarter of the cost
-        for x in self._below:
-            for y in self._below:
-                if x != y:
-                    yield x, y
 
 
 def escape_region(

@@ -138,6 +138,9 @@ def test_upset_and_escape_window_budget(capsys):
     for argv in (["upset", "--base", "[0|0]"], ["escape", "--a", "0"]):
         code, out, err = run(capsys, *argv, "--window", "1000000000")
         assert code == 2 and out == "" and "budget of 10000" in err
+    # upset on Q builds no window, so it stays a not-applicable answer
+    code, out, _ = run(capsys, "upset", "--group", "Q", "--base", "[0|1]", "--window", "1000000000")
+    assert code == 0 and out.startswith("not applicable")
 
 
 def test_witness(capsys):
@@ -256,17 +259,27 @@ _PAYLOAD = st.one_of(
 )
 _PAIR = st.one_of(st.tuples(_PAYLOAD, _PAYLOAD).map(lambda p: f"[{p[0]}|{p[1]}]"), _NOISE)
 _WINDOW = st.one_of(st.integers(-2, 5), st.integers(-10**12, 10**12))
+# well-formed payloads per carrier, so the window commands reach their work
+_INT = st.integers(-9, 9)
+_VALID_PAYLOAD = {
+    "Z": _INT.map(str),
+    "Q": st.fractions(max_denominator=9).map(str),
+    "ZxZ": st.tuples(_INT, _INT).map(lambda v: "({},{})".format(*v)),
+    "H3": st.tuples(_INT, _INT, _INT).map(lambda v: "({},{},{})".format(*v)),
+}
 
 
 @st.composite
 def _literal_argv(draw):
-    """A bounded-work command with random literals in every literal slot and,
-    for the window commands, a random window."""
+    """A bounded-work command with random literals in every literal slot; the
+    window commands get a random window and well-formed literals."""
     group = draw(st.sampled_from(["Z", "Q", "ZxZ", "H3"]))
     common = ["--group", group, "--output", draw(st.sampled_from(["text", "json"]))]
     bplus = ["--bplus"] if draw(st.booleans()) else []
-    cmd = draw(st.sampled_from(
-        ["mul", "inv", "leq", "solve", "ideal", "witness", "pmap", "upset", "escape", "compose"]
+    # two draws, so the three window commands are not crowded out by the seven others
+    cmd = draw(st.one_of(
+        st.sampled_from(["mul", "inv", "leq", "solve", "ideal", "witness", "pmap"]),
+        st.sampled_from(["upset", "escape", "compose"]),
     ))
     if cmd == "mul":
         return ["mul", *common, draw(_PAIR), draw(_PAIR)]
@@ -291,10 +304,12 @@ def _literal_argv(draw):
         shift = [f"--g={draw(_PAYLOAD)}", f"--h={draw(_PAYLOAD)}", f"--x={draw(_PAYLOAD)}"]
         return ["pmap", "apply", *common, *shift]
     window = f"--window={draw(_WINDOW)}"
+    payload = _VALID_PAYLOAD[group]
     if cmd == "upset":
-        return ["upset", *common, window, f"--base={draw(_PAIR)}", *bplus]
+        base = f"--base=[{draw(payload)}|{draw(payload)}]"
+        return ["upset", *common, window, base, *bplus]
     if cmd == "escape":
-        return ["escape", *common, window, f"--a={draw(_PAYLOAD)}"]
+        return ["escape", *common, window, f"--a={draw(payload)}"]
     return ["pmap", "check-compose", *common, window]
 
 
