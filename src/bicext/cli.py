@@ -151,6 +151,9 @@ def _cmd_upset(args) -> int:
 def _cmd_pmap(args) -> int:
     group = GROUPS[args.group]
     if args.action == "apply":
+        if not (args.g and args.h and args.x):
+            print("pmap apply needs --g, --h and --x", file=sys.stderr)
+            return 2
         shift = PartialShift(
             group,
             parse_payload(args.g, group),
@@ -165,12 +168,12 @@ def _cmd_pmap(args) -> int:
     # element is built.
     n = 2 * args.window + 1
     if n**4 <= WINDOW_BUDGET:
-        elems = group.elements(args.window) if group.enumerable else group.sample_grid(args.window)
+        elems = group.window(args.window)
         n = len(elems)
     if n**4 > WINDOW_BUDGET:
         work = f"sweep at least {n**4} shift pairs"
         return _refuse_window("pmap check-compose", args.window, work)
-    points = elems if group.enumerable else group.sample_grid(2 * args.window)
+    points = elems if group.enumerable else group.window(2 * args.window)
     shifts = [PartialShift(group, a, b) for a in elems for b in elems]
     checked = 0
     for m1 in shifts:
@@ -222,8 +225,7 @@ def _cmd_escape(args) -> int:
     if pairs > WINDOW_BUDGET:
         return _refuse_window("escape", args.window, f"cover {pairs} window pairs")
     if group.densely_ordered:
-        samples = group.sample_grid(args.window)
-        verdict = density_probe(group, samples)
+        verdict = density_probe(group, group.window(args.window))
         payload = {
             "not_applicable": True,
             "reason": "densely ordered carrier",
@@ -370,10 +372,6 @@ def _exceeds_digit_limit(exc: ValueError) -> bool:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "pmap" and args.action == "apply":
-        if not (args.g and args.h and args.x):
-            print("pmap apply needs --g, --h and --x", file=sys.stderr)
-            return 2
     try:
         return args.fn(args)
     except ParseError as exc:

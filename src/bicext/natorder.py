@@ -58,20 +58,21 @@ def nat_leq_dual(s: BElement, t: BElement) -> bool:
     return quot_s == quot_t and g.geq(s.right, t.right)
 
 
-def nat_leq_oracle(s: BElement, t: BElement, radius: int = 2) -> bool:
+def nat_leq_oracle(s: BElement, t: BElement) -> bool:
     """Re-derive the order verdict three independent ways and cross-check.
 
     Evaluates both multiplication characterizations (s == s * s^-1 * t
     and s == t * s^-1 * s) plus an explicit search for an idempotent e
     with s == e * t; idempotent anchors cover the operands' coordinates
-    and nearby designated-positive translates, which suffices because a
-    successful idempotent can always be anchored at s.left.  All three
-    must agree, else InternalDisagreement (an arithmetic bug).
+    and their translates by up to two designated-positive steps either
+    way, which suffices because a successful idempotent can always be
+    anchored at s.left.  All three must agree, else InternalDisagreement
+    (an arithmetic bug).
     """
     g = _same_instance(s, t)
     via_left = (s * s.inverse()) * t == s
     via_right = (t * s.inverse()) * s == s
-    steps = [g.power(g.designated_positive, k) for k in range(-radius, radius + 1)]
+    steps = [g.power(g.designated_positive, k) for k in range(-2, 3)]
     anchors = set()
     for base in (s.left, s.right, t.left, t.right):
         for step in steps:
@@ -102,18 +103,6 @@ class SolutionSet:
 
     kind: SolutionKind
     element: Optional[BElement] = None
-
-    @classmethod
-    def none(cls) -> "SolutionSet":
-        return cls(SolutionKind.NO_SOLUTION)
-
-    @classmethod
-    def unique(cls, w: BElement) -> "SolutionSet":
-        return cls(SolutionKind.UNIQUE, w)
-
-    @classmethod
-    def up_set(cls, base: BElement) -> "SolutionSet":
-        return cls(SolutionKind.UP_SET, base)
 
     def contains(self, candidate: BElement) -> bool:
         if self.kind is SolutionKind.NO_SOLUTION:
@@ -152,13 +141,13 @@ def solve_right(target: BElement, known: BElement, bplus: bool = False) -> Solut
     c, d = known.left, known.right
     verdict = g.cmp(a, c)
     if verdict < 0:
-        return SolutionSet.none()
+        return SolutionSet(SolutionKind.NO_SOLUTION)
     if verdict > 0:
         w = _make(g, g.mul(g.mul(a, g.inv(c)), d), b)
         if known * w != target or (bplus and not w.in_bplus()):
             raise InternalError(f"solve_right produced a bad solution {w}")
-        return SolutionSet.unique(w)
-    return SolutionSet.up_set(_make(g, d, b))
+        return SolutionSet(SolutionKind.UNIQUE, w)
+    return SolutionSet(SolutionKind.UP_SET, _make(g, d, b))
 
 
 def solve_left(target: BElement, known: BElement, bplus: bool = False) -> SolutionSet:
@@ -171,13 +160,13 @@ def solve_left(target: BElement, known: BElement, bplus: bool = False) -> Soluti
     c, d = known.left, known.right
     verdict = g.cmp(b, d)
     if verdict < 0:
-        return SolutionSet.none()
+        return SolutionSet(SolutionKind.NO_SOLUTION)
     if verdict > 0:
         w = _make(g, a, g.mul(g.mul(b, g.inv(d)), c))
         if w * known != target or (bplus and not w.in_bplus()):
             raise InternalError(f"solve_left produced a bad solution {w}")
-        return SolutionSet.unique(w)
-    return SolutionSet.up_set(_make(g, a, c))
+        return SolutionSet(SolutionKind.UNIQUE, w)
+    return SolutionSet(SolutionKind.UP_SET, _make(g, a, c))
 
 
 def solve_sandwich(
@@ -202,7 +191,7 @@ def solve_sandwich(
         )
     if bplus:
         _require_bplus(target, leftk, rightk)
-    return SolutionSet.up_set(_make(g, leftk.right, rightk.left))
+    return SolutionSet(SolutionKind.UP_SET, _make(g, leftk.right, rightk.left))
 
 
 def ideal_member(

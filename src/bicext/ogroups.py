@@ -98,6 +98,11 @@ class OrderedGroup:
         """All carrier elements whose integer coordinates lie in the window."""
         raise NotApplicable(f"{self.name} is not enumerable")
 
+    def window(self, bounds: Bounds) -> List[Element]:
+        """The finite stand-in for the carrier that windowed work runs on:
+        ``elements(bounds)`` unless the carrier overrides it."""
+        return self.elements(bounds)
+
     def render(self, x: Element) -> str:
         """Canonical literal; ``str`` of the payload unless overridden."""
         return str(x)
@@ -185,8 +190,8 @@ class RationalGroup(OrderedGroup):
 
     Payloads are ``fractions.Fraction`` values, which are always reduced
     with a positive denominator, so structural equality is canonical.
-    The carrier is not enumerable; finite work runs on the deterministic
-    grid below instead.
+    The carrier is not enumerable; its ``window`` is a deterministic grid
+    of fractions instead.
     """
 
     name = "Q"
@@ -214,8 +219,14 @@ class RationalGroup(OrderedGroup):
     def between(self, g, h):
         return (g + h) / 2
 
-    def sample_grid(self, bound: int) -> List[Fraction]:
-        """Reduced fractions p/q with |p| <= bound and 1 <= q <= bound, sorted."""
+    def window(self, bounds: Bounds) -> List[Fraction]:
+        """Reduced fractions p/q with |p| <= bound and 1 <= q <= bound, sorted;
+        a (lo, hi) window reads as the bound max(-lo, hi)."""
+        if isinstance(bounds, int):
+            bound = bounds
+        else:
+            lo, hi = normalize_bounds(bounds)
+            bound = max(-lo, hi)
         if bound < 1:
             raise ValueError("grid bound must be >= 1")
         vals = {

@@ -16,7 +16,7 @@ suite check guards that closure on every carrier it runs over.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from typing import List
+from typing import List, Sequence
 
 from .errors import InstanceMismatch
 from .ogroups import Bounds, Element, OrderedGroup
@@ -115,14 +115,19 @@ def idempotent(group: OrderedGroup, x: Element) -> BElement:
     return BElement(group, x, x)
 
 
+def pairs_over(group: OrderedGroup, elems: Sequence[Element], bplus: bool = False) -> List[BElement]:
+    """Every pair of entries of ``elems``, left coordinate first; with
+    ``bplus``, only the pairs whose coordinates are both positive."""
+    out = [BElement(group, a, b) for a in elems for b in elems]
+    if bplus:
+        out = [s for s in out if s.in_bplus()]
+    return out
+
+
 def pairs_in_window(group: OrderedGroup, bounds: Bounds, bplus: bool = False) -> List[BElement]:
     """Every pair with both payload coordinates inside the window.
 
     Enumeration order is the group's own element order, left coordinate
     first, so repeated calls list pairs identically.
     """
-    elems = group.elements(bounds)
-    out = [BElement(group, a, b) for a in elems for b in elems]
-    if bplus:
-        out = [s for s in out if s.in_bplus()]
-    return out
+    return pairs_over(group, group.elements(bounds), bplus)

@@ -13,6 +13,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .certificates import (
@@ -34,7 +35,7 @@ from .natorder import (
     solve_sandwich,
 )
 from .ogroups import GROUPS, OrderedGroup, check_positive_cone_axioms, successor_check
-from .pairs import BElement, idempotent
+from .pairs import BElement, idempotent, pairs_over
 from .shifts import (
     PartialShift,
     compose_pointwise_oracle,
@@ -154,13 +155,7 @@ class _Ctx:
         return random.Random(f"{self.seed}:{self.group.name}:{self.window}:{label}")
 
     def elements(self, bounds=None) -> List:
-        g = self.group
-        bound = self.window if bounds is None else bounds
-        if g.enumerable:
-            return g.elements(bound)
-        if isinstance(bound, tuple):
-            bound = max(abs(bound[0]), abs(bound[1]))
-        return g.sample_grid(max(1, bound))
+        return self.group.window(self.window if bounds is None else bounds)
 
     def pool_elements(self, margin: int = 0) -> List:
         """Window elements, thinned deterministically when pairing would explode."""
@@ -170,11 +165,7 @@ class _Ctx:
     def pairs(self, bplus: bool = False, margin: int = 0) -> List[BElement]:
         key = (bplus, margin)
         if key not in self._pools:
-            elems = self.pool_elements(margin)
-            out = [BElement(self.group, a, b) for a in elems for b in elems]
-            if bplus:
-                out = [s for s in out if s.in_bplus()]
-            self._pools[key] = out
+            self._pools[key] = pairs_over(self.group, self.pool_elements(margin), bplus)
         return self._pools[key]
 
 
@@ -522,14 +513,14 @@ def c_triple_factorization(ctx: _Ctx) -> Outcome:
 # --- solver checks ---------------------------------------------------------
 
 
-def _solution_matches_window(sol, brute, pool_members, base_filter):
-    """Compare a symbolic solution set against a brute-forced window list."""
+def _solution_matches_window(sol, brute, pool, pool_members) -> bool:
+    """Compare a symbolic solution set against the brute-forced solutions
+    in ``pool``; ``pool_members`` is ``set(pool)``."""
     if sol.kind is SolutionKind.NO_SOLUTION:
         return brute == []
     if sol.kind is SolutionKind.UNIQUE:
-        expected = [sol.element] if sol.element in pool_members else []
-        return brute == expected
-    return brute == base_filter(sol.element)
+        return brute == ([sol.element] if sol.element in pool_members else [])
+    return brute == [w for w in pool if nat_leq(sol.element, w)]
 
 
 def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
@@ -546,10 +537,7 @@ def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
             sol = solve_left(target, known, bplus=bplus)
             brute = [w for w in pool if w * known == target]
         cases += len(pool)
-        ok = _solution_matches_window(
-            sol, brute, pool_members, lambda base: [w for w in pool if nat_leq(base, w)]
-        )
-        if not ok:
+        if not _solution_matches_window(sol, brute, pool, pool_members):
             return (
                 "fail",
                 cases,
@@ -559,26 +547,11 @@ def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
     return "pass", cases, None
 
 
-def c_solve_right_complete(ctx: _Ctx) -> Outcome:
-    return _solver_completeness(ctx, "right", False)
-
-
-def c_solve_left_complete(ctx: _Ctx) -> Outcome:
-    return _solver_completeness(ctx, "left", False)
-
-
-def c_solve_right_bplus(ctx: _Ctx) -> Outcome:
-    return _solver_completeness(ctx, "right", True)
-
-
-def c_solve_left_bplus(ctx: _Ctx) -> Outcome:
-    return _solver_completeness(ctx, "left", True)
-
-
 def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
     g = ctx.group
     elems = [e for e in ctx.elements() if not bplus or g.is_positive(e)]
     pool = ctx.pairs(bplus=bplus)
+    pool_members = set(pool)
     budget_quads = max(12, BUDGET // max(1, len(pool)))
     quads = _tuples(elems, 4, budget_quads, ctx.rng(f"sandwich-{bplus}"))
     cases = 0
@@ -587,26 +560,16 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
         leftk = BElement(g, a, c)
         rightk = BElement(g, d, b)
         sol = solve_sandwich(target, leftk, rightk, bplus=bplus)
-        base = sol.element
         brute = [w for w in pool if (leftk * w) * rightk == target]
-        expected = [w for w in pool if nat_leq(base, w)]
         cases += len(pool)
-        if brute != expected:
+        if not _solution_matches_window(sol, brute, pool, pool_members):
             return (
                 "fail",
                 cases,
                 f"sandwich solutions for target {target} via {leftk}, {rightk} "
-                f"do not match the up-set of {base}",
+                f"do not match the up-set of {sol.element}",
             )
     return "pass", cases, None
-
-
-def c_sandwich_complete(ctx: _Ctx) -> Outcome:
-    return _sandwich_completeness(ctx, False)
-
-
-def c_sandwich_bplus(ctx: _Ctx) -> Outcome:
-    return _sandwich_completeness(ctx, True)
 
 
 # --- ideal checks -----------------------------------------------------------
@@ -832,12 +795,12 @@ SUITES: Dict[str, Tuple[Tuple[str, Callable[[_Ctx], Outcome]], ...]] = {
         ("triple-factorization", c_triple_factorization),
     ),
     "solvers": (
-        ("solve-right-complete", c_solve_right_complete),
-        ("solve-left-complete", c_solve_left_complete),
-        ("sandwich-complete", c_sandwich_complete),
-        ("solve-right-bplus", c_solve_right_bplus),
-        ("solve-left-bplus", c_solve_left_bplus),
-        ("sandwich-bplus", c_sandwich_bplus),
+        ("solve-right-complete", partial(_solver_completeness, side="right", bplus=False)),
+        ("solve-left-complete", partial(_solver_completeness, side="left", bplus=False)),
+        ("sandwich-complete", partial(_sandwich_completeness, bplus=False)),
+        ("solve-right-bplus", partial(_solver_completeness, side="right", bplus=True)),
+        ("solve-left-bplus", partial(_solver_completeness, side="left", bplus=True)),
+        ("sandwich-bplus", partial(_sandwich_completeness, bplus=True)),
     ),
     "ideals": (("ideal-membership", c_ideal_membership),),
     "pmaps": (

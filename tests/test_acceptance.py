@@ -222,7 +222,7 @@ def test_08_witness_chains():
         (Z, Z.elements(3)),
         (ZXZ, ZXZ.elements(2)),
         (H3, H3.elements(1)),
-        (Q, Q.sample_grid(3)),
+        (Q, Q.window(3)),
     )
     total = 0
     for group, coords in setups:
@@ -290,7 +290,7 @@ def test_09_escape_certificates():
         assert False, "dense carrier must refuse escape certificates"
     except NotApplicable:
         pass
-    grid = Q.sample_grid(9)
+    grid = Q.window(9)
     verdict = density_probe(Q, grid)
     positives = [g for g in grid if Q.lt(Q.identity, g)]
     assert len(positives) >= 50

@@ -33,7 +33,7 @@ def test_probe_integers():
 
 
 def test_probe_rationals():
-    grid = Q.sample_grid(4)
+    grid = Q.window(4)
     verdict = density_probe(Q, grid)
     assert verdict.densely_ordered
     assert verdict.minimal_positive is None
@@ -78,7 +78,7 @@ def test_chain_rationals_uses_designated_step():
 
 def test_chain_coordinate_sharing(any_group):
     g = any_group
-    coords = g.elements(2) if g.enumerable else g.sample_grid(2)
+    coords = g.window(2)
     rng = random.Random(f"chain:{g.name}")
     for _ in range(20):
         seed = be(g, rng.choice(coords), rng.choice(coords))

@@ -113,6 +113,14 @@ def test_pmap_check_compose(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] and payload["pairs"] == 81 * 81
+    # Q sweeps its window grid: 7 fractions at window 2, checked on the
+    # 23 points of the grid at window 4
+    code, out, _ = run(capsys, "pmap", "check-compose", "--group", "Q", "--window", "2")
+    assert code == 0
+    assert out == "ok: 2401 composite pairs agree on 23 sample points\n"
+    code, out, err = run(capsys, "pmap", "check-compose", "--group", "Q", "--window", "3")
+    assert code == 2 and out == ""
+    assert "50625 shift pairs" in err and "budget of 10000" in err
 
 
 def test_pmap_check_compose_pair_budget(capsys):

@@ -249,11 +249,11 @@ def test_up_set_window_not_enumerable():
 
 
 def test_solution_set_contains():
-    none = SolutionSet.none()
+    none = SolutionSet(SolutionKind.NO_SOLUTION)
     assert not none.contains(be(Z, 0, 0))
-    uniq = SolutionSet.unique(be(Z, 1, 2))
+    uniq = SolutionSet(SolutionKind.UNIQUE, be(Z, 1, 2))
     assert uniq.contains(be(Z, 1, 2)) and not uniq.contains(be(Z, 0, 1))
-    ups = SolutionSet.up_set(be(Z, 1, 2))
+    ups = SolutionSet(SolutionKind.UP_SET, be(Z, 1, 2))
     assert ups.contains(be(Z, 0, 1)) and not ups.contains(be(Z, 2, 4))
 
 
@@ -262,7 +262,7 @@ def test_solution_set_json():
         "kind": "Unique",
         "element": {"left": "6", "right": "2"},
     }
-    assert SolutionSet.none().to_json() == {"kind": "NoSolution", "element": None}
+    assert SolutionSet(SolutionKind.NO_SOLUTION).to_json() == {"kind": "NoSolution", "element": None}
 
 
 def test_nat_leq_instance_mismatch():

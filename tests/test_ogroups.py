@@ -49,7 +49,7 @@ def test_elements_windows():
 
 
 def test_rational_grid():
-    grid = Q.sample_grid(2)
+    grid = Q.window(2)
     assert grid == sorted(grid)
     assert grid == [
         Fraction(-2),
@@ -61,8 +61,24 @@ def test_rational_grid():
         Fraction(2),
     ]
     # every grid value is reduced with a small denominator
-    for v in Q.sample_grid(5):
+    for v in Q.window(5):
         assert 1 <= v.denominator <= 5 and abs(v.numerator) <= 5
+
+
+def test_window_is_the_finite_carrier():
+    for g in (Z, ZXZ, H3):
+        for bounds in (0, 2, (-1, 2)):
+            assert g.window(bounds) == g.elements(bounds)
+    assert Q.window((-1, 2)) == Q.window(2)
+    grid = Q.window(3)
+    assert grid == sorted(grid) and len(set(grid)) == len(grid)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="grid bound must be >= 1"):
+            Q.window(bound)
+    # an empty window is refused on every carrier
+    for g in (Z, Q):
+        with pytest.raises(ValueError, match="empty window"):
+            g.window((3, 1))
 
 
 @given(st.integers(), st.integers(), st.integers())
@@ -96,7 +112,7 @@ def test_heisenberg_not_commutative():
 
 def test_order_trichotomy_and_transitivity(any_group):
     g = any_group
-    elems = g.elements(2) if g.enumerable else g.sample_grid(2)
+    elems = g.window(2)
     for a, b in itertools.product(elems, repeat=2):
         v = g.cmp(a, b)
         assert v in (-1, 0, 1)
@@ -109,7 +125,7 @@ def test_order_trichotomy_and_transitivity(any_group):
 
 def test_order_bi_invariance(any_group):
     g = any_group
-    elems = g.elements(2) if g.enumerable else g.sample_grid(2)
+    elems = g.window(2)
     for a, b, t in itertools.product(elems, repeat=3):
         if g.lt(a, b):
             assert g.lt(g.mul(a, t), g.mul(b, t))
@@ -118,7 +134,7 @@ def test_order_bi_invariance(any_group):
 
 def test_cone_axioms_hold_on_instances(any_group):
     g = any_group
-    elems = g.elements(2) if g.enumerable else g.sample_grid(2)
+    elems = g.window(2)
     assert check_positive_cone_axioms(g, elems).all_ok
 
 
@@ -131,7 +147,7 @@ def test_cone_axioms_fail_on_broken_instance(broken_group):
 
 def test_cone_verdict_counterexample_only_on_failure(any_group):
     g = any_group
-    elems = g.elements(2) if g.enumerable else g.sample_grid(2)
+    elems = g.window(2)
     verdict = check_positive_cone_axioms(g, elems)
     assert verdict.counterexample is None
 
@@ -167,7 +183,7 @@ def test_minimal_positive_elements():
 
 
 def test_rational_density_witness():
-    grid = Q.sample_grid(3)
+    grid = Q.window(3)
     for a, b in itertools.product(grid, repeat=2):
         if Q.lt(a, b):
             m = Q.between(a, b)
