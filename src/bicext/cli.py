@@ -33,9 +33,10 @@ from .pairs import BElement
 from .shifts import PartialShift, compose_pointwise_oracle
 from .suites import SuiteConfig, run_suites
 
-# most pairs a window command may handle: the window pairs `upset` scans and
-# `escape` covers (ZxZ at window 4 has 6,561), or the shift pairs
-# `pmap check-compose` sweeps (ZxZ at window 1 needs 6,561)
+# most a window command may handle: the window elements `upset` walks
+# (H3 at window 10 has 9,261), the window pairs `escape` covers (ZxZ at
+# window 4 has 6,561), or the shift pairs `pmap check-compose` sweeps
+# (ZxZ at window 1 needs 6,561)
 WINDOW_BUDGET = 10_000
 
 
@@ -56,11 +57,11 @@ def _refuse_window(command: str, window: int, work: str) -> int:
     return 2
 
 
-def _window_pairs(group, window: int) -> int:
-    """Pairs of window elements, counted from the 2w+1 integers of each
-    coordinate before any element is built; on Q this bounds the sample
-    grid too.  A negative window counts as empty: the library rejects it."""
-    return (2 * max(window, 0) + 1) ** (2 * group.payload_arity)
+def _window_elements(group, window: int) -> int:
+    """Window elements, counted from the 2w+1 integers of each coordinate
+    before any element is built; on Q their square bounds the sample grid
+    too.  A negative window counts as empty: the library rejects it."""
+    return (2 * max(window, 0) + 1) ** group.payload_arity
 
 
 def _cmd_mul(args) -> int:
@@ -134,10 +135,10 @@ def _cmd_ideal(args) -> int:
 def _cmd_upset(args) -> int:
     group = GROUPS[args.group]
     base = parse_pair(args.base, group)
-    pairs = _window_pairs(group, args.window)
+    elems = _window_elements(group, args.window)
     # on Q the library answers not-applicable without building a window
-    if group.enumerable and pairs > WINDOW_BUDGET:
-        return _refuse_window("upset", args.window, f"scan {pairs} window pairs")
+    if group.enumerable and elems > WINDOW_BUDGET:
+        return _refuse_window("upset", args.window, f"walk {elems} window elements")
     members = up_set_window(base, args.window, bplus=args.bplus)
     payload = {
         "base": pair_to_json(base),
@@ -221,7 +222,7 @@ def _cmd_escape(args) -> int:
     group = GROUPS[args.group]
     anchor = parse_payload(args.a, group)
     idem = BElement(group, anchor, anchor)
-    pairs = _window_pairs(group, args.window)
+    pairs = _window_elements(group, args.window) ** 2
     if pairs > WINDOW_BUDGET:
         return _refuse_window("escape", args.window, f"cover {pairs} window pairs")
     if group.densely_ordered:

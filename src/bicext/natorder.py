@@ -9,9 +9,10 @@ symbolically through its least element.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Literal, Optional
+from typing import Iterator, List, Literal, Optional, Tuple
 
 from .errors import (
     InstanceMismatch,
@@ -22,8 +23,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .literals import pair_to_json
-from .ogroups import Bounds, Element
-from .pairs import BElement, _make, pairs_in_window
+from .ogroups import Bounds, Element, OrderedGroup
+from .pairs import BElement, _make
 
 Side = Literal["left", "right"]
 
@@ -63,27 +64,46 @@ def nat_leq_oracle(s: BElement, t: BElement) -> bool:
 
     Evaluates both multiplication characterizations (s == s * s^-1 * t
     and s == t * s^-1 * s) plus an explicit search for an idempotent e
-    with s == e * t; idempotent anchors cover the operands' coordinates
-    and their translates by up to two designated-positive steps either
-    way, which suffices because a successful idempotent can always be
-    anchored at s.left.  All three must agree, else InternalDisagreement
-    (an arithmetic bug).
+    with s == e * t.  The idempotent anchors are the operands'
+    coordinates s.left, s.right, t.left, t.right, in that order, each
+    translated by k designated-positive steps for k = 0, 1, -1, 2, -2,
+    with repeats skipped.  They are tried lazily from s.left itself,
+    which suffices because a successful idempotent can always be
+    anchored at s.left: a true verdict costs one idempotent product,
+    a false one tries every distinct anchor.  All three must agree,
+    else InternalDisagreement (an arithmetic bug).
     """
     g = _same_instance(s, t)
     via_left = (s * s.inverse()) * t == s
     via_right = (t * s.inverse()) * s == s
-    steps = [g.power(g.designated_positive, k) for k in range(-2, 3)]
-    anchors = set()
-    for base in (s.left, s.right, t.left, t.right):
-        for step in steps:
-            anchors.add(g.mul(base, step))
-    via_idem = any(_make(g, x, x) * t == s for x in anchors)
+    via_idem = any(
+        _make(g, x, x) * t == s
+        for x in _anchors(g, (s.left, s.right, t.left, t.right))
+    )
     if via_left == via_right == via_idem:
         return via_left
     raise InternalDisagreement(
         f"order characterizations disagree on {s} vs {t}: "
         f"{via_left}/{via_right}/{via_idem}"
     )
+
+
+@functools.cache
+def _oracle_steps(g: OrderedGroup) -> Tuple[Element, ...]:
+    """The designated-positive powers 0, 1, -1, 2, -2 of one carrier;
+    carriers compare equal by type, so this is one entry per carrier class."""
+    return tuple(g.power(g.designated_positive, k) for k in (0, 1, -1, 2, -2))
+
+
+def _anchors(g: OrderedGroup, bases) -> Iterator[Element]:
+    """Each base times each oracle step, base-major, without repeats."""
+    seen = set()
+    for base in bases:
+        for step in _oracle_steps(g):
+            x = g.mul(base, step)
+            if x not in seen:
+                seen.add(x)
+                yield x
 
 
 class SolutionKind(Enum):
@@ -221,9 +241,29 @@ def ideal_member(
 def up_set_window(base: BElement, bounds: Bounds, bplus: bool = False) -> List[BElement]:
     """Finite view of the up-set above ``base``: every window pair it sits below.
 
+    Closed form: t lies above base exactly when t has base's quotient
+    q = base.left^-1 * base.right and t.left <= base.left.  So the members
+    are the pairs (x, x * q) for window elements x <= base.left whose
+    x * q is in the window, listed in window order of x; with ``bplus``,
+    only those with both coordinates positive.  That is the order
+    ``pairs_in_window`` lists them in, at O(n) carrier work for an
+    n-element window instead of a scan of its n^2 pairs.
+
     Raises NotApplicable when the carrier is not enumerable.
     """
     g = base.group
     if not g.enumerable:
         raise NotApplicable(f"{g.name} windows cannot be enumerated")
-    return [p for p in pairs_in_window(g, bounds, bplus=bplus) if nat_leq(base, p)]
+    elems = g.elements(bounds)
+    in_window = set(elems)
+    top = base.left
+    q = g.mul(g.inv(top), base.right)
+    members = []
+    for x in elems:
+        if g.cmp(x, top) <= 0:
+            y = g.mul(x, q)
+            if y in in_window:
+                members.append(_make(g, x, y))
+    if bplus:
+        members = [p for p in members if p.in_bplus()]
+    return members

@@ -156,10 +156,8 @@ class IntegerGroup(OrderedGroup):
     """Integers under addition with the usual order."""
 
     name = "Z"
-
-    @property
-    def identity(self) -> int:
-        return 0
+    identity = 0
+    designated_positive = 1
 
     def mul(self, g, h):
         return g + h
@@ -175,10 +173,6 @@ class IntegerGroup(OrderedGroup):
 
     def predecessor(self, g):
         return g - 1
-
-    @property
-    def designated_positive(self) -> int:
-        return 1
 
     def elements(self, bounds: Bounds) -> List[int]:
         lo, hi = normalize_bounds(bounds)
@@ -198,10 +192,9 @@ class RationalGroup(OrderedGroup):
     densely_ordered = True
     enumerable = False
     payload_kind = "fraction"
-
-    @property
-    def identity(self) -> Fraction:
-        return Fraction(0)
+    # one shared instance each is safe: fractions are immutable
+    identity = Fraction(0)
+    designated_positive = Fraction(1)
 
     def mul(self, g, h):
         return g + h
@@ -209,12 +202,15 @@ class RationalGroup(OrderedGroup):
     def inv(self, g):
         return -g
 
+    def cmp(self, g, h):
+        # denominators are positive, so cross-multiplying keeps the order;
+        # one integer comparison instead of two Fraction ones
+        a = g.numerator * h.denominator
+        b = h.numerator * g.denominator
+        return (a > b) - (a < b)
+
     def contains(self, x) -> bool:
         return isinstance(x, Fraction)
-
-    @property
-    def designated_positive(self) -> Fraction:
-        return Fraction(1)
 
     def between(self, g, h):
         return (g + h) / 2

@@ -482,9 +482,9 @@ def c_natorder_compatibility(ctx: _Ctx) -> Outcome:
     # coordinate quotient and a left coordinate at or below s.left
     for s, u in _tuples(pool, 2, 600, rng):
         quot = g.mul(g.inv(s.left), s.right)
-        above = [
-            BElement(g, x, g.mul(x, quot)) for x in elems if g.leq(x, s.left)
-        ][:6]
+        above = itertools.islice(
+            (BElement(g, x, g.mul(x, quot)) for x in elems if g.leq(x, s.left)), 6
+        )
         for t in above:
             cases += 1
             if not nat_leq(s, t):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from bicext.ogroups import GROUPS, IntegerGroup
@@ -31,6 +33,37 @@ class LeakyIntegerGroup(IntegerGroup):
     def mul(self, g, h):
         out = g + h
         return float(out) if out == 3 else out
+
+
+def _counting(carrier):
+    """A carrier of the same type as ``carrier`` that tallies its calls."""
+    calls = Counter()
+
+    class Counting(type(carrier)):
+        def mul(self, g, h):
+            calls["mul"] += 1
+            return super().mul(g, h)
+
+        def inv(self, g):
+            calls["inv"] += 1
+            return super().inv(g)
+
+        def cmp(self, g, h):
+            calls["cmp"] += 1
+            return super().cmp(g, h)
+
+        def contains(self, x):
+            calls["contains"] += 1
+            return super().contains(x)
+
+    return Counting(), calls
+
+
+@pytest.fixture
+def counting():
+    """``counting(carrier)`` returns a tallying twin of ``carrier`` and its
+    ``Counter`` of ``mul``/``inv``/``cmp``/``contains`` calls."""
+    return _counting
 
 
 @pytest.fixture

@@ -137,11 +137,24 @@ def test_pmap_check_compose_pair_budget(capsys):
 
 
 def test_upset_and_escape_window_budget(capsys):
-    # H3 at the default window 4 has 729**2 window pairs: refused at once
-    for argv in (["upset", "--base", "[(0,0,0)|(0,0,0)]"], ["escape", "--a", "(0,0,0)"]):
-        code, out, err = run(capsys, *argv, "--group", "H3")
-        assert code == 2 and out == ""
-        assert "531441 window pairs" in err and "budget of 10000" in err
+    # upset walks the window elements: H3 at the default window 4 has 729,
+    # and at window 11 it has 23**3 = 12167, refused at once
+    code, out, _ = run(capsys, "upset", "--group", "H3", "--base", "[(0,0,0)|(0,0,0)]")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 365
+    assert lines[0] == "[(-4,-4,-4)|(-4,-4,-4)]" and lines[-1] == "[(0,0,0)|(0,0,0)]"
+    code, out, err = run(capsys, "upset", "--group", "H3", "--base", "[(0,0,0)|(0,0,0)]", "--window", "11")
+    assert code == 2 and out == ""
+    assert "12167 window elements" in err and "budget of 10000" in err
+    # on Z the budget admits 9,999 elements and refuses 10,001
+    code, out, _ = run(capsys, "upset", "--base", "[0|1]", "--window", "4999")
+    assert code == 0 and out.splitlines()[-1] == "[0|1]"
+    code, out, err = run(capsys, "upset", "--base", "[0|1]", "--window", "5000")
+    assert code == 2 and out == "" and "10001 window elements" in err
+    # escape covers window pairs: H3 at the default window has 729**2
+    code, out, err = run(capsys, "escape", "--a", "(0,0,0)", "--group", "H3")
+    assert code == 2 and out == ""
+    assert "531441 window pairs" in err and "budget of 10000" in err
     # a wide window is refused before its elements are built
     for argv in (["upset", "--base", "[0|0]"], ["escape", "--a", "0"]):
         code, out, err = run(capsys, *argv, "--window", "1000000000")

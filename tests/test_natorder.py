@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bicext.errors import (
     InstanceMismatch,
+    InternalDisagreement,
     MalformedEquation,
     NotApplicable,
     PreconditionViolated,
@@ -23,7 +25,7 @@ from bicext.natorder import (
     solve_sandwich,
     up_set_window,
 )
-from bicext.ogroups import Q, Z, ZXZ
+from bicext.ogroups import H3, Q, Z, ZXZ
 from bicext.pairs import BElement, idempotent, pairs_in_window
 
 
@@ -47,6 +49,56 @@ def test_oracle_agreement_window():
     pool = pairs_in_window(Z, 2)
     for s, t in itertools.product(pool, repeat=2):
         assert nat_leq(s, t) == nat_leq_oracle(s, t) == nat_leq_dual(s, t)
+
+
+def _idempotent_products(counting, g, s, t):
+    """Idempotent products ``nat_leq_oracle(s, t)`` makes, read off its
+    ``cmp`` calls: every pair product makes exactly one, and the two
+    multiplication characterizations make four products."""
+    carrier, calls = counting(g)
+    s, t = be(carrier, s.left, s.right), be(carrier, t.left, t.right)
+    verdict = nat_leq_oracle(s, t)
+    return verdict, calls["cmp"] - 4
+
+
+def test_oracle_stops_at_the_first_anchor_that_works(any_group, counting):
+    g = any_group
+    p = g.designated_positive
+    for t in (be(g, g.identity, p), be(g, p, g.inv(p)), be(g, g.power(p, 3), g.power(p, 3))):
+        x = g.mul(t.left, p)  # s sits below t: same quotient, larger left
+        s = be(g, x, g.mul(x, g.mul(g.inv(t.left), t.right)))
+        assert nat_leq(s, t)
+        assert _idempotent_products(counting, g, s, t) == (True, 1)
+        assert _idempotent_products(counting, g, t, t) == (True, 1)
+
+
+def test_oracle_tries_every_distinct_anchor_on_false(any_group, counting):
+    g = any_group
+    p, e = g.designated_positive, g.identity
+    cases = [
+        (be(g, e, e), be(g, e, p)),  # coordinates overlap: 6 distinct anchors
+        (be(g, g.inv(p), e), be(g, e, p)),  # same quotient, left too low: 7
+        (be(g, g.power(p, 7), g.power(p, -7)), be(g, g.power(p, -30), g.power(p, 20))),
+    ]
+    distinct = []
+    for s, t in cases:
+        assert not nat_leq(s, t)
+        anchors = {
+            g.mul(c, g.power(p, k))
+            for c in (s.left, s.right, t.left, t.right)
+            for k in range(-2, 3)
+        }
+        assert _idempotent_products(counting, g, s, t) == (False, len(anchors))
+        distinct.append(len(anchors))
+    assert distinct == [6, 7, 20]
+
+
+def test_oracle_reports_split_characterizations(broken_group):
+    # the misordered 2 sends products down different branches, so the
+    # two multiplication routes and the idempotent search disagree
+    s, t = be(broken_group, -3, -2), be(broken_group, -3, 2)
+    with pytest.raises(InternalDisagreement, match="False/True/False"):
+        nat_leq_oracle(s, t)
 
 
 def test_idempotent_order_reverses_coordinates():
@@ -241,6 +293,44 @@ def test_up_set_window_bplus_filters():
     plus = up_set_window(be(Z, 2, 1), 4, bplus=True)
     assert plus == [s for s in full if s.in_bplus()]
     assert len(plus) < len(full)
+
+
+@pytest.mark.parametrize(
+    "g, bounds",
+    [(Z, 3), (Z, (-2, 5)), (ZXZ, 2), (ZXZ, (-1, 2)), (H3, 1), (H3, (0, 2))],
+)
+def test_up_set_window_matches_the_scan(g, bounds):
+    # half the bases come from a wider window, so some lie outside it;
+    # a base inside the window is a member of its own up-set
+    rng = random.Random(f"upset:{g.name}:{bounds}")
+    window = g.elements(bounds)
+    wider = g.elements(4 if g is Z else 3)
+    bases = [be(g, rng.choice(pool), rng.choice(pool)) for pool in (window, wider) for _ in range(20)]
+    window = set(window)
+    outside = inside = found = 0
+    for base in bases:
+        for bplus in (False, True):
+            scan = [p for p in pairs_in_window(g, bounds, bplus) if nat_leq(base, p)]
+            assert up_set_window(base, bounds, bplus) == scan
+            found += bool(scan)
+        if base.left in window and base.right in window:
+            inside += 1
+        else:
+            outside += 1
+    assert inside and outside and found
+
+
+def test_up_set_window_carrier_work_is_linear(counting):
+    # a walk of the n window elements, not a scan of their n**2 pairs
+    for g in (Z, ZXZ, H3):
+        for w in (1, 2, 3):
+            n = (2 * w + 1) ** g.payload_arity
+            carrier, calls = counting(g)
+            base = be(carrier, g.identity, g.designated_positive)
+            calls.clear()
+            members = up_set_window(base, w, bplus=True)
+            assert members
+            assert sum(calls.values()) <= 4 * n + 2
 
 
 def test_up_set_window_not_enumerable():

@@ -88,6 +88,37 @@ def test_integer_group_laws(a, b, c):
     assert Z.mul(a, Z.identity) == a
 
 
+# small and ~40-digit numerators and denominators, either sign
+_big = 10**40
+fractions_small_and_big = st.builds(
+    Fraction,
+    st.integers(-_big, _big) | st.integers(-12, 12),
+    st.integers(1, _big) | st.integers(1, 12),
+)
+
+
+@given(fractions_small_and_big, fractions_small_and_big)
+def test_rational_cmp_agrees_with_fraction_order(a, b):
+    assert Q.cmp(a, b) == (a > b) - (a < b)
+    assert Q.cmp(b, a) == -Q.cmp(a, b)
+    assert Q.cmp(a, a) == 0
+    # an equal value reached another way compares equal too
+    assert Q.cmp(a, (a + b) - b) == 0
+    assert Q.cmp(a, Fraction(a.numerator * 7, a.denominator * 7)) == 0
+
+
+def test_rational_constants_are_shared_and_unchanged():
+    from bicext.ogroups import RationalGroup
+
+    for _ in range(3):
+        Q.power(Q.designated_positive, 5)
+        Q.is_positive(Fraction(-1, 3))
+    for g in (Q, RationalGroup()):
+        assert g.identity == 0 and type(g.identity) is Fraction
+        assert g.designated_positive == 1 and type(g.designated_positive) is Fraction
+    assert RationalGroup().identity is Q.identity
+
+
 triples = st.tuples(
     st.integers(-10**6, 10**6),
     st.integers(-10**6, 10**6),

@@ -1,7 +1,6 @@
 import copy
 import itertools
 import pickle
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -170,41 +169,17 @@ def test_carrier_instances_compare_by_type(any_group):
                 nat_leq(s, _sample(other))
 
 
-def _counting(carrier):
-    """A carrier of the same type as ``carrier`` that tallies its calls."""
-    calls = Counter()
-
-    class Counting(type(carrier)):
-        def mul(self, g, h):
-            calls["mul"] += 1
-            return super().mul(g, h)
-
-        def inv(self, g):
-            calls["inv"] += 1
-            return super().inv(g)
-
-        def cmp(self, g, h):
-            calls["cmp"] += 1
-            return super().cmp(g, h)
-
-        def contains(self, x):
-            calls["contains"] += 1
-            return super().contains(x)
-
-    return Counting(), calls
-
-
-def test_products_validate_nothing(any_group):
+def test_products_validate_nothing(any_group, counting):
     # payloads are checked once at the boundary; products and inverses,
     # whose payloads the carrier made itself, check nothing
     g = any_group
     one = g.designated_positive
     lo, mid, hi = g.inv(one), g.identity, one
-    counting, calls = _counting(g)
-    BElement(counting, lo, hi)
+    carrier, calls = counting(g)
+    BElement(carrier, lo, hi)
     assert calls == {"contains": 2}
-    left = BElement(counting, lo, mid)
-    for right in (BElement(counting, hi, lo), BElement(counting, mid, hi), BElement(counting, lo, lo)):
+    left = BElement(carrier, lo, mid)
+    for right in (BElement(carrier, hi, lo), BElement(carrier, mid, hi), BElement(carrier, lo, lo)):
         calls.clear()
         product = left * right
         assert calls["contains"] == 0 and calls["cmp"] == 1
