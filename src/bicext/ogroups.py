@@ -216,18 +216,14 @@ class RationalGroup(OrderedGroup):
         return (g + h) / 2
 
     def window(self, bounds: Bounds) -> List[Fraction]:
-        """Reduced fractions p/q with |p| <= bound and 1 <= q <= bound, sorted;
-        a (lo, hi) window reads as the bound max(-lo, hi)."""
-        if isinstance(bounds, int):
-            bound = bounds
-        else:
-            lo, hi = normalize_bounds(bounds)
-            bound = max(-lo, hi)
-        if bound < 1:
-            raise ValueError("grid bound must be >= 1")
+        """Reduced fractions p/q with |p| <= bound and 1 <= q <= max(bound, 1),
+        sorted, so bound 0 is just [0]; a (lo, hi) window reads as the bound
+        max(-lo, hi)."""
+        lo, hi = normalize_bounds(bounds)
+        bound = max(-lo, hi)
         vals = {
             Fraction(p, q)
-            for q in range(1, bound + 1)
+            for q in range(1, max(bound, 1) + 1)
             for p in range(-bound, bound + 1)
         }
         return sorted(vals)

@@ -5,6 +5,15 @@ check over a finite window: exhaustive when the window fits the case
 budget, otherwise a seeded deterministic subset (so reruns with the same
 configuration examine byte-identical cases).  Reports are plain data
 with a stable JSON form; only the wall-time fields vary between runs.
+
+The brute-force oracles memoize their pure products inside each check:
+a row of products for each known factor drawn more than once, one
+product set per ideal anchor, each window pair built once.  A product
+shared by several samples is then computed once.  The memo lives in the
+check's locals and never outlives it or passes to another check, so
+verdicts, case counts and counterexamples are those of the per-sample
+scan, and a check's carrier-op cost does not depend on which checks ran
+before it.
 """
 
 from __future__ import annotations
@@ -12,8 +21,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .certificates import (
@@ -186,6 +196,11 @@ def _tuples(pool: Sequence, k: int, cap: int, rng: random.Random) -> Iterable[tu
     return zip(*[draws] * k)  # k consecutive draws per tuple
 
 
+def _repeated(keys: Iterable) -> set:
+    """The keys that occur more than once."""
+    return {key for key, n in Counter(keys).items() if n > 1}
+
+
 Outcome = Tuple[str, int, Optional[str]]
 
 
@@ -262,7 +277,7 @@ def c_order_bi_invariance(ctx: _Ctx) -> Outcome:
 
 def c_cone_axioms(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    elems = ctx.elements()
+    elems = _subset(ctx.elements(), 64, ctx.rng("cone-axioms"))
     verdict = check_positive_cone_axioms(g, elems)
     cases = len(elems) * len(elems)
     if verdict.all_ok:
@@ -416,7 +431,7 @@ def c_no_identity(ctx: _Ctx) -> Outcome:
     # probes come from a window one step wider than the candidates, so the
     # corner idempotents below and above every candidate always exist;
     # putting them first makes each scan terminate almost immediately
-    wide = g.elements(ctx.window + 1)
+    wide = ctx.elements(ctx.window + 1)
     corners = [idempotent(g, wide[0]), idempotent(g, wide[-1])]
     probes = corners + ctx.pairs(margin=1)
     cases = 0
@@ -497,16 +512,24 @@ def c_natorder_compatibility(ctx: _Ctx) -> Outcome:
 def c_triple_factorization(ctx: _Ctx) -> Outcome:
     g = ctx.group
     elems = ctx.elements()
+    n, cap = len(elems), 6000
+
+    def pair(i, j):
+        """The checked pair of window elements i and j."""
+        return BElement(g, elems[i], elems[j])
+
+    # a case uses four pairs; where the window has no more pairs than the
+    # cases use, build each once, keyed by position (an int hashes cheaper
+    # than a payload)
+    if n * n <= 4 * cap:
+        pair = cache(pair)
     cases = 0
-    for a, b, c, d in _tuples(elems, 4, 6000, ctx.rng("factorization")):
+    for i, j, k, m in _tuples(range(n), 4, cap, ctx.rng("factorization")):
         cases += 1
-        lhs = BElement(g, a, c) * BElement(g, c, d) * BElement(g, d, b)
-        if lhs != BElement(g, a, b):
-            return (
-                "fail",
-                cases,
-                f"factorization broke at {g.render(a)},{g.render(b)},{g.render(c)},{g.render(d)}",
-            )
+        lhs = pair(i, k) * pair(k, m) * pair(m, j)
+        if lhs != pair(i, j):
+            a, b, c, d = (g.render(elems[x]) for x in (i, j, k, m))
+            return "fail", cases, f"factorization broke at {a},{b},{c},{d}"
     return "pass", cases, None
 
 
@@ -523,18 +546,39 @@ def _solution_matches_window(sol, brute, pool, pool_members) -> bool:
     return brute == [w for w in pool if nat_leq(sol.element, w)]
 
 
+def _product_row(
+    known: BElement, pool: Sequence[BElement], side: str
+) -> Dict[BElement, List[BElement]]:
+    """Each value of ``known * w`` (``w * known`` on the left) -> the pool
+    members w giving it, in pool order: ``row.get(target, [])`` is the scan
+    ``[w for w in pool if known * w == target]``, since equal pairs hash alike."""
+    row: Dict[BElement, List[BElement]] = {}
+    for w in pool:
+        row.setdefault(known * w if side == "right" else w * known, []).append(w)
+    return row
+
+
 def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
     pool = ctx.pairs(bplus=bplus)
     pool_members = set(pool)
     budget_pairs = max(16, BUDGET // max(1, len(pool)))
-    samples = _tuples(pool, 2, budget_pairs, ctx.rng(f"solve-{side}-{bplus}"))
+    samples = list(_tuples(pool, 2, budget_pairs, ctx.rng(f"solve-{side}-{bplus}")))
+    solve = solve_right if side == "right" else solve_left
+    # a known factor drawn more than once gets a row of its products;
+    # hashing every product only pays off when the row is looked up again
+    shared = _repeated(known for _, known in samples)
+    rows: Dict[BElement, Dict[BElement, List[BElement]]] = {}
     cases = 0
     for target, known in samples:
-        if side == "right":
-            sol = solve_right(target, known, bplus=bplus)
+        sol = solve(target, known, bplus=bplus)
+        if known in shared:
+            row = rows.get(known)
+            if row is None:
+                row = rows[known] = _product_row(known, pool, side)
+            brute = row.get(target, [])
+        elif side == "right":
             brute = [w for w in pool if known * w == target]
         else:
-            sol = solve_left(target, known, bplus=bplus)
             brute = [w for w in pool if w * known == target]
         cases += len(pool)
         if not _solution_matches_window(sol, brute, pool, pool_members):
@@ -553,14 +597,23 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
     pool = ctx.pairs(bplus=bplus)
     pool_members = set(pool)
     budget_quads = max(12, BUDGET // max(1, len(pool)))
-    quads = _tuples(elems, 4, budget_quads, ctx.rng(f"sandwich-{bplus}"))
+    quads = list(_tuples(elems, 4, budget_quads, ctx.rng(f"sandwich-{bplus}")))
+    # the first products leftk * w, kept for a leftk drawn more than once
+    shared = _repeated((a, c) for a, _, c, _ in quads)
+    left_rows: Dict[tuple, List[BElement]] = {}
     cases = 0
     for a, b, c, d in quads:
         target = BElement(g, a, b)
         leftk = BElement(g, a, c)
         rightk = BElement(g, d, b)
         sol = solve_sandwich(target, leftk, rightk, bplus=bplus)
-        brute = [w for w in pool if (leftk * w) * rightk == target]
+        if (a, c) in shared:
+            lefts = left_rows.get((a, c))
+            if lefts is None:
+                lefts = left_rows[a, c] = [leftk * w for w in pool]
+            brute = [w for w, lw in zip(pool, lefts) if lw * rightk == target]
+        else:
+            brute = [w for w in pool if (leftk * w) * rightk == target]
         cases += len(pool)
         if not _solution_matches_window(sol, brute, pool, pool_members):
             return (
@@ -583,9 +636,16 @@ def c_ideal_membership(ctx: _Ctx) -> Outcome:
     anchors = _subset(ctx.elements(), 5, rng)
     probes = _subset(full, 40, rng)
     # brute pools may be thinned, but the canonical witness (the probe
-    # itself) must stay reachable, so it is scanned first
+    # itself) must stay reachable, so it is always tried as well
     brute_full = _subset(full, 250, rng)
     brute_plus = _subset(plus, 250, rng)
+
+    @cache
+    def products(anchor, side: str, bplus: bool) -> frozenset:
+        e = idempotent(g, anchor)
+        pool = brute_plus if bplus else brute_full
+        return frozenset(e * t if side == "right" else t * e for t in pool)
+
     cases = 0
     for s in probes:
         for anchor in anchors:
@@ -593,14 +653,12 @@ def c_ideal_membership(ctx: _Ctx) -> Outcome:
                 for bplus in (False, True):
                     if bplus and not g.is_positive(anchor):
                         continue
-                    pool = brute_plus if bplus else brute_full
-                    if not bplus or s.in_bplus():
-                        pool = [s] + pool
-                    e = idempotent(g, anchor)
-                    if side == "right":
-                        exists = any(e * t == s for t in pool)
-                    else:
-                        exists = any(t * e == s for t in pool)
+                    # a witness among the brute pool's shared products, or
+                    # the probe itself where it may be one
+                    exists = s in products(anchor, side, bplus)
+                    if not exists and (not bplus or s.in_bplus()):
+                        e = idempotent(g, anchor)
+                        exists = (e * s if side == "right" else s * e) == s
                     cases += 1
                     if ideal_member(s, anchor, side, bplus=bplus) != exists:
                         return (
@@ -646,7 +704,7 @@ def c_shift_bijectivity(ctx: _Ctx) -> Outcome:
     g = ctx.group
     rng = ctx.rng("bijectivity")
     w = ctx.window
-    points = ctx.elements((-w, 2 * w))
+    points = _subset(ctx.elements((-w, 2 * w)), 64, ctx.rng("bijectivity-points"))
     cases = 0
     for a, b in _tuples(ctx.elements(), 2, 200, rng):
         shift = PartialShift(g, a, b)

@@ -190,6 +190,19 @@ def test_escape_not_applicable_on_rationals(capsys):
     assert json.loads(out)["not_applicable"] is True
 
 
+def test_window_zero_on_rationals_matches_integers(capsys):
+    # window 0 is the single point 0 on every carrier, Q included
+    for group in ("Z", "Q"):
+        code, out, _ = run(capsys, "pmap", "check-compose", "--group", group, "--window", "0")
+        assert code == 0
+        assert out == "ok: 1 composite pairs agree on 1 sample points\n"
+    code, out, _ = run(capsys, "escape", "--group", "Q", "--a", "0", "--window", "0")
+    assert code == 0 and out.startswith("not applicable")
+    # a negative window is refused with the window's own message
+    code, out, err = run(capsys, "escape", "--group", "Q", "--a", "0", "--window", "-1")
+    assert code == 2 and out == "" and "window radius must be non-negative" in err
+
+
 def test_check_passes(capsys):
     code, out, _ = run(
         capsys, "check", "--group", "Z", "--window", "2", "--suites", "axioms,order"

@@ -72,9 +72,11 @@ def test_window_is_the_finite_carrier():
     assert Q.window((-1, 2)) == Q.window(2)
     grid = Q.window(3)
     assert grid == sorted(grid) and len(set(grid)) == len(grid)
-    for bound in (0, -1):
-        with pytest.raises(ValueError, match="grid bound must be >= 1"):
-            Q.window(bound)
+    # bound 0 is |p| <= 0 with q = 1, as Z's window 0 is [0]
+    assert Q.window(0) == Q.window((0, 0)) == [Fraction(0)]
+    assert Z.window(0) == [0]
+    with pytest.raises(ValueError, match="window radius must be non-negative"):
+        Q.window(-1)
     # an empty window is refused on every carrier
     for g in (Z, Q):
         with pytest.raises(ValueError, match="empty window"):

@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from bicext import suites
+from bicext.natorder import SolutionKind, SolutionSet
+from bicext.ogroups import GROUPS
+from bicext.pairs import BElement
 from bicext.suites import SUITES, SuiteConfig, run_suites
+
+Z = GROUPS["Z"]
 
 
 def _strip_wall(obj):
@@ -104,3 +110,77 @@ def test_text_report_mentions_failures(broken_group):
     report = run_suites(SuiteConfig(group=broken_group, window=2, suites=("axioms",)))
     text = report.to_text()
     assert "fail" in text and "counterexample" in text
+
+
+def _check(name):
+    return dict(entry for checks in SUITES.values() for entry in checks)[name]
+
+
+def _wrong_at(real, chosen, answer):
+    """``real``, except that the call with positional arguments ``chosen``
+    and ``bplus=False`` answers ``answer``."""
+
+    def patched(*args, bplus=False):
+        if args == chosen and not bplus:
+            return answer
+        return real(*args, bplus=bplus)
+
+    return patched
+
+
+# Negative controls for the memoized oracles: one wrong solver answer, at a
+# sample whose product row or product set an earlier sample already built,
+# must fail the check at the same case, with the same counterexample, as
+# the per-sample scan did.  At Z window 2 every solver sample space is
+# enumerated, so each row is shared by 25 samples.
+
+
+def test_solver_rows_catch_a_wrong_right_solution(monkeypatch):
+    target, known = BElement(Z, 2, 0), BElement(Z, 1, 1)  # unique solution [2|0]
+    no_solution = SolutionSet(SolutionKind.NO_SOLUTION)
+    monkeypatch.setattr(
+        suites, "solve_right", _wrong_at(suites.solve_right, (target, known), no_solution)
+    )
+    status, cases, counter = _check("solve-right-complete")(suites._Ctx(Z, 2, 0))
+    assert (status, cases) == ("fail", 14225)
+    assert counter == (
+        "window solutions of target [2|0], known [1|1] (right) do not match NoSolution"
+    )
+
+
+def test_sandwich_rows_catch_a_wrong_sandwich_solution(monkeypatch):
+    # the solutions are the up-set above [0|-1], which meets the window in
+    # [-1|-2] and [0|-1]; the up-set above [1|0] adds [1|0] to those
+    chosen = (BElement(Z, 1, 2), BElement(Z, 1, 0), BElement(Z, -1, 2))
+    too_wide = SolutionSet(SolutionKind.UP_SET, BElement(Z, 1, 0))
+    monkeypatch.setattr(
+        suites, "solve_sandwich", _wrong_at(suites.solve_sandwich, chosen, too_wide)
+    )
+    status, cases, counter = _check("sandwich-complete")(suites._Ctx(Z, 2, 0))
+    assert (status, cases) == ("fail", 12175)
+    assert counter == (
+        "sandwich solutions for target [1|2] via [1|0], [-1|2] do not match the up-set of [1|0]"
+    )
+
+
+def test_ideal_product_sets_catch_a_wrong_membership(monkeypatch):
+    chosen = (BElement(Z, 1, -1), 0, "right")  # [1|-1] = [0|0] * [1|-1]
+    monkeypatch.setattr(
+        suites, "ideal_member", _wrong_at(suites.ideal_member, chosen, False)
+    )
+    status, cases, counter = _check("ideal-membership")(suites._Ctx(Z, 2, 0))
+    assert (status, cases) == ("fail", 261)
+    assert counter == "ideal test disagrees with brute force: [1|-1], anchor 0, right, bplus=False"
+
+
+def test_solver_rows_cut_carrier_comparisons(counting):
+    # Z window 4, seed 0: 625 samples over a 25-pair pool.  One product
+    # per (known, w) instead of one per (target, known, w) brings the
+    # check from 19,925 comparisons to 4,925; the pool is built first so
+    # that only the check's own work is counted.
+    carrier, calls = counting(Z)
+    ctx = suites._Ctx(carrier, 4, 0)
+    ctx.pairs(bplus=True)
+    calls.clear()
+    assert _check("solve-right-bplus")(ctx) == ("pass", 15625, None)
+    assert calls["cmp"] <= 6000
