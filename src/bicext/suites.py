@@ -7,18 +7,19 @@ configuration examine byte-identical cases).  Reports are plain data
 with a stable JSON form; only the wall-time fields vary between runs.
 
 The brute-force oracles memoize their pure products inside each check:
-a row of products for each known factor drawn more than once, one
-product set per ideal anchor, each window pair built once.  A product
-shared by several samples is then computed once.  The memo lives in the
-check's locals and never outlives it or passes to another check, so
-verdicts, case counts and counterexamples are those of the per-sample
-scan, and a check's carrier-op cost does not depend on which checks ran
-before it.
+the products of each known factor with the whole pool, kept until the
+last sample that reads them, and one product set per ideal anchor.  A
+product shared by several samples is then computed once.  The memo
+lives in the check's locals and never outlives it or passes to another
+check, so verdicts, case counts and counterexamples are those of the
+per-sample scan, and a check's carrier-op cost does not depend on which
+checks ran before it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from collections import Counter
@@ -196,9 +197,20 @@ def _tuples(pool: Sequence, k: int, cap: int, rng: random.Random) -> Iterable[tu
     return zip(*[draws] * k)  # k consecutive draws per tuple
 
 
-def _repeated(keys: Iterable) -> set:
-    """The keys that occur more than once."""
-    return {key for key, n in Counter(keys).items() if n > 1}
+def _rows_once(keys: Sequence, build: Callable) -> Iterable:
+    """``build(key)`` for each key in turn.  Each distinct key's row is
+    built at its first occurrence and dropped after its last, so a row is
+    computed once and only rows still to be read stay alive."""
+    uses = Counter(keys)
+    rows = {}
+    for key in keys:
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = build(key)
+        uses[key] -= 1
+        if not uses[key]:
+            del rows[key]
+        yield row
 
 
 Outcome = Tuple[str, int, Optional[str]]
@@ -512,24 +524,16 @@ def c_natorder_compatibility(ctx: _Ctx) -> Outcome:
 def c_triple_factorization(ctx: _Ctx) -> Outcome:
     g = ctx.group
     elems = ctx.elements()
-    n, cap = len(elems), 6000
-
-    def pair(i, j):
-        """The checked pair of window elements i and j."""
-        return BElement(g, elems[i], elems[j])
-
-    # a case uses four pairs; where the window has no more pairs than the
-    # cases use, build each once, keyed by position (an int hashes cheaper
-    # than a payload)
-    if n * n <= 4 * cap:
-        pair = cache(pair)
     cases = 0
-    for i, j, k, m in _tuples(range(n), 4, cap, ctx.rng("factorization")):
+    for a, b, c, d in _tuples(elems, 4, 6000, ctx.rng("factorization")):
         cases += 1
-        lhs = pair(i, k) * pair(k, m) * pair(m, j)
-        if lhs != pair(i, j):
-            a, b, c, d = (g.render(elems[x]) for x in (i, j, k, m))
-            return "fail", cases, f"factorization broke at {a},{b},{c},{d}"
+        lhs = BElement(g, a, c) * BElement(g, c, d) * BElement(g, d, b)
+        if lhs != BElement(g, a, b):
+            return (
+                "fail",
+                cases,
+                f"factorization broke at {g.render(a)},{g.render(b)},{g.render(c)},{g.render(d)}",
+            )
     return "pass", cases, None
 
 
@@ -546,40 +550,27 @@ def _solution_matches_window(sol, brute, pool, pool_members) -> bool:
     return brute == [w for w in pool if nat_leq(sol.element, w)]
 
 
-def _product_row(
-    known: BElement, pool: Sequence[BElement], side: str
-) -> Dict[BElement, List[BElement]]:
-    """Each value of ``known * w`` (``w * known`` on the left) -> the pool
-    members w giving it, in pool order: ``row.get(target, [])`` is the scan
-    ``[w for w in pool if known * w == target]``, since equal pairs hash alike."""
-    row: Dict[BElement, List[BElement]] = {}
-    for w in pool:
-        row.setdefault(known * w if side == "right" else w * known, []).append(w)
-    return row
-
-
 def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
     pool = ctx.pairs(bplus=bplus)
     pool_members = set(pool)
     budget_pairs = max(16, BUDGET // max(1, len(pool)))
     samples = list(_tuples(pool, 2, budget_pairs, ctx.rng(f"solve-{side}-{bplus}")))
     solve = solve_right if side == "right" else solve_left
-    # a known factor drawn more than once gets a row of its products;
-    # hashing every product only pays off when the row is looked up again
-    shared = _repeated(known for _, known in samples)
-    rows: Dict[BElement, Dict[BElement, List[BElement]]] = {}
+
+    def products(known):
+        """The coordinates of ``known * w`` (``w * known`` on the left) for
+        each w in the pool; every pair here is over one carrier, so pairs
+        are equal exactly when their coordinates are."""
+        same = itertools.repeat(known)
+        factors = (same, pool) if side == "right" else (pool, same)
+        return [(p.left, p.right) for p in map(operator.mul, *factors)]
+
+    rows = _rows_once([known for _, known in samples], products)
     cases = 0
-    for target, known in samples:
+    for (target, known), row in zip(samples, rows):
         sol = solve(target, known, bplus=bplus)
-        if known in shared:
-            row = rows.get(known)
-            if row is None:
-                row = rows[known] = _product_row(known, pool, side)
-            brute = row.get(target, [])
-        elif side == "right":
-            brute = [w for w in pool if known * w == target]
-        else:
-            brute = [w for w in pool if w * known == target]
+        key = (target.left, target.right)
+        brute = [w for w, p in zip(pool, row) if p == key]
         cases += len(pool)
         if not _solution_matches_window(sol, brute, pool, pool_members):
             return (
@@ -598,22 +589,21 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
     pool_members = set(pool)
     budget_quads = max(12, BUDGET // max(1, len(pool)))
     quads = list(_tuples(elems, 4, budget_quads, ctx.rng(f"sandwich-{bplus}")))
-    # the first products leftk * w, kept for a leftk drawn more than once
-    shared = _repeated((a, c) for a, _, c, _ in quads)
-    left_rows: Dict[tuple, List[BElement]] = {}
+    # the first products leftk * w, once per left factor (a, c)
+    lefts_of = _rows_once(
+        [(a, c) for a, _, c, _ in quads],
+        lambda ac: list(map(BElement(g, *ac).__mul__, pool)),
+    )
     cases = 0
-    for a, b, c, d in quads:
+    for (a, b, c, d), lefts in zip(quads, lefts_of):
         target = BElement(g, a, b)
         leftk = BElement(g, a, c)
         rightk = BElement(g, d, b)
         sol = solve_sandwich(target, leftk, rightk, bplus=bplus)
-        if (a, c) in shared:
-            lefts = left_rows.get((a, c))
-            if lefts is None:
-                lefts = left_rows[a, c] = [leftk * w for w in pool]
-            brute = [w for w, lw in zip(pool, lefts) if lw * rightk == target]
-        else:
-            brute = [w for w in pool if (leftk * w) * rightk == target]
+        # as in the solver checks, pairs are compared by coordinates
+        brute = [
+            w for w, lw in zip(pool, lefts) if (p := lw * rightk).right == b and p.left == a
+        ]
         cases += len(pool)
         if not _solution_matches_window(sol, brute, pool, pool_members):
             return (
