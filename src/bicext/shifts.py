@@ -6,11 +6,18 @@ its codomain anchor by x -> x * dom^-1 * cod.  Domains stay intensional
 closed form on anchors; the pointwise oracle below cross-checks it on
 explicit sample points, which is also how the pair representation is
 kept honest.
+
+Anchors are validated at the boundary only, as pair payloads are: the
+public ``PartialShift`` constructor checks both with ``contains``.
+``compose``, ``PartialShift.inverse`` and ``pair_to_shift`` build their
+results unchecked, because their anchors are carrier products or come
+from an already checked shift or pair; the ``group-laws`` suite check
+guards the closure of ``mul`` and ``inv`` that this relies on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable
 
 from .errors import InstanceMismatch, OutOfDomain
@@ -18,20 +25,48 @@ from .ogroups import Element, OrderedGroup
 from .pairs import BElement
 
 
-@dataclass(frozen=True)
 class PartialShift:
-    """Bijection from the cone at ``dom_anchor`` onto the cone at ``cod_anchor``."""
+    """Bijection from the cone at ``dom_anchor`` onto the cone at ``cod_anchor``.
 
-    group: OrderedGroup
-    dom_anchor: Element
-    cod_anchor: Element
+    An immutable value: equal shifts hash alike, and assigning or deleting
+    a field raises ``FrozenInstanceError`` (an ``AttributeError``).
+    """
 
-    def __post_init__(self):
-        if not (
-            self.group.contains(self.dom_anchor)
-            and self.group.contains(self.cod_anchor)
-        ):
-            raise ValueError(f"anchor outside the {self.group.name} carrier")
+    __slots__ = ("group", "dom_anchor", "cod_anchor")
+    __match_args__ = ("group", "dom_anchor", "cod_anchor")
+
+    def __init__(self, group: OrderedGroup, dom_anchor: Element, cod_anchor: Element):
+        if not (group.contains(dom_anchor) and group.contains(cod_anchor)):
+            raise ValueError(f"anchor outside the {group.name} carrier")
+        _set_group(self, group)
+        _set_dom(self, dom_anchor)
+        _set_cod(self, cod_anchor)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the checked constructor
+        return PartialShift, (self.group, self.dom_anchor, self.cod_anchor)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.dom_anchor, self.cod_anchor) == (
+            other.group, other.dom_anchor, other.cod_anchor
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.dom_anchor, self.cod_anchor))
+
+    def __repr__(self):
+        return (
+            f"PartialShift(group={self.group!r}, dom_anchor={self.dom_anchor!r}, "
+            f"cod_anchor={self.cod_anchor!r})"
+        )
 
     def in_domain(self, x: Element) -> bool:
         return self.group.leq(self.dom_anchor, x)
@@ -46,11 +81,27 @@ class PartialShift:
         return g.mul(g.mul(x, g.inv(self.dom_anchor)), self.cod_anchor)
 
     def inverse(self) -> "PartialShift":
-        return PartialShift(self.group, self.cod_anchor, self.dom_anchor)
+        return _shift(self.group, self.cod_anchor, self.dom_anchor)
 
     def __str__(self):
         g = self.group
         return f"shift {g.render(self.dom_anchor)} -> {g.render(self.cod_anchor)}"
+
+
+_new = object.__new__
+# the slots' own setters: they bypass the raising __setattr__
+_set_group = PartialShift.group.__set__
+_set_dom = PartialShift.dom_anchor.__set__
+_set_cod = PartialShift.cod_anchor.__set__
+
+
+def _shift(group: OrderedGroup, dom_anchor: Element, cod_anchor: Element) -> PartialShift:
+    """Unchecked constructor for anchors the carrier produced itself."""
+    m = _new(PartialShift)
+    _set_group(m, group)
+    _set_dom(m, dom_anchor)
+    _set_cod(m, cod_anchor)
+    return m
 
 
 def compose(m1: PartialShift, m2: PartialShift) -> PartialShift:
@@ -68,7 +119,7 @@ def compose(m1: PartialShift, m2: PartialShift) -> PartialShift:
     join = g.maximum(m1.cod_anchor, m2.dom_anchor)
     dom = g.mul(g.mul(join, g.inv(m1.cod_anchor)), m1.dom_anchor)
     cod = g.mul(g.mul(join, g.inv(m2.dom_anchor)), m2.cod_anchor)
-    return PartialShift(g, dom, cod)
+    return _shift(g, dom, cod)
 
 
 def compose_pointwise_oracle(
@@ -92,7 +143,7 @@ def compose_pointwise_oracle(
 
 def pair_to_shift(s: BElement) -> PartialShift:
     """The shift a pair denotes: left coordinate is the domain anchor."""
-    return PartialShift(s.group, s.left, s.right)
+    return _shift(s.group, s.left, s.right)
 
 
 def pair_product_matches_shifts(s: BElement, t: BElement) -> bool:

@@ -193,8 +193,22 @@ def _tuples(pool: Sequence, k: int, cap: int, rng: random.Random) -> Iterable[tu
     n = len(pool)
     if n**k <= cap:
         return itertools.product(pool, repeat=k)
-    draws = (pool[rng.randrange(n)] for _ in range(cap * k))
-    return zip(*[draws] * k)  # k consecutive draws per tuple
+    return zip(*[_draws(pool, cap * k, rng)] * k)  # k consecutive draws per tuple
+
+
+def _draws(pool: Sequence, count: int, rng: random.Random) -> Iterable:
+    """``count`` entries ``pool[rng.randrange(len(pool))]``, inlined: the
+    same rejection of ``getrandbits(n.bit_length())`` values >= n that
+    ``Random.randrange(n)`` makes, so the indices and the RNG state
+    afterwards are those of ``randrange``."""
+    getrandbits = rng.getrandbits
+    n = len(pool)
+    bits = n.bit_length()
+    for _ in range(count):
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        yield pool[i]
 
 
 def _rows_once(keys: Sequence, build: Callable) -> Iterable:

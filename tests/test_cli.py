@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicext.cli import main
+from bicext.ogroups import GROUPS
+from bicext.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -352,6 +354,10 @@ def _literal_argv(draw):
 @example(["mul", "[" + "9" * 5000 + "|0]", "[1|1]"])
 @example(["solve", "--group", "Q", "--target=[1/0|1]", "--known=[1|1]"])
 def test_exit_code_contract_on_random_literals(argv):
+    _assert_exit_code_contract(argv)
+
+
+def _assert_exit_code_contract(argv):
     # 0 success, 1 failed check, 2 usage error; never an uncaught exception
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -361,3 +367,24 @@ def test_exit_code_contract_on_random_literals(argv):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_UNKNOWN_SUITE = st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12).filter(
+    lambda name: name not in SUITES and name != "all"
+)
+
+
+# windows above 1 are left out: an H3 run of every suite already takes
+# about 1.4 s at window 1, and the test must stay a few seconds long
+@settings(max_examples=20, deadline=None)
+@given(
+    group=st.sampled_from(sorted(GROUPS)),
+    window=st.integers(-2, 1),
+    suites=st.one_of(st.sampled_from(sorted(SUITES)), _UNKNOWN_SUITE, st.just("")),
+    seed=st.integers(),
+)
+def test_exit_code_contract_on_check(group, window, suites, seed):
+    _assert_exit_code_contract([
+        "check", "--group", group, f"--window={window}", f"--suites={suites}",
+        f"--sample-seed={seed}",
+    ])

@@ -1,10 +1,12 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
 from bicext.errors import InstanceMismatch, OutOfDomain
-from bicext.ogroups import H3, Z, ZXZ
+from bicext.ogroups import GROUPS, H3, Z, ZXZ
 from bicext.pairs import BElement, pairs_in_window
 from bicext.shifts import (
     PartialShift,
@@ -103,3 +105,58 @@ def test_bijectivity_on_samples():
 def test_compose_instance_mismatch():
     with pytest.raises(InstanceMismatch):
         compose(PartialShift(Z, 0, 0), PartialShift(ZXZ, (0, 0), (0, 0)))
+
+
+def _sample(group):
+    """A shift on ``group`` with distinct anchors."""
+    return PartialShift(group, group.identity, group.designated_positive)
+
+
+def test_value_semantics(any_group):
+    m = _sample(any_group)
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and hash(twin) == hash(m)
+        assert (twin.dom_anchor, twin.cod_anchor) == (m.dom_anchor, m.cod_anchor)
+    for field in ("group", "dom_anchor", "cod_anchor"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, m.dom_anchor)
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+    assert m != (any_group, m.dom_anchor, m.cod_anchor)
+    # separately constructed carriers of one type are interchangeable
+    twin = _sample(type(any_group)())
+    assert twin == m and hash(twin) == hash(m)
+    assert m.inverse().inverse() == m
+    assert repr(m) == (
+        f"PartialShift(group={any_group!r}, dom_anchor={m.dom_anchor!r}, "
+        f"cod_anchor={m.cod_anchor!r})"
+    )
+    outside = [other.designated_positive for other in GROUPS.values()
+               if not any_group.contains(other.designated_positive)]
+    assert outside
+    for bad in outside:
+        with pytest.raises(ValueError, match=f"anchor outside the {any_group.name} carrier"):
+            PartialShift(any_group, bad, any_group.identity)
+        with pytest.raises(ValueError, match=f"anchor outside the {any_group.name} carrier"):
+            PartialShift(any_group, any_group.identity, bad)
+
+
+def test_derived_shifts_validate_nothing(any_group, counting):
+    # anchors are checked once at the constructor; composites, inverses and
+    # the shifts of pairs, whose anchors the carrier made, check nothing
+    g = any_group
+    one = g.designated_positive
+    carrier, calls = counting(g)
+    m = PartialShift(carrier, g.inv(one), one)
+    assert calls == {"contains": 2}
+    others = [m, PartialShift(carrier, one, g.identity)]
+    pairs = [BElement(carrier, a, b) for a in (g.inv(one), g.identity) for b in (g.identity, one)]
+    calls.clear()
+    for n in others:
+        compose(m, n)
+        compose(n, m)
+        n.inverse()
+    for s, t in itertools.product(pairs, repeat=2):
+        pair_to_shift(s)
+        assert pair_product_matches_shifts(s, t)
+    assert calls["contains"] == 0

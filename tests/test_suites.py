@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -184,3 +185,23 @@ def test_solver_rows_cut_carrier_comparisons(counting):
     calls.clear()
     assert _check("solve-right-bplus")(ctx) == ("pass", 15625, None)
     assert calls["cmp"] <= 6000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 81, 4096, 5000])
+def test_tuples_draw_as_randrange(n):
+    # checks reuse their RNG after _tuples, so its state afterwards matters
+    # as much as the tuples drawn
+    pool = list(range(n))
+    for k in (2, 3, 4):
+        cap = min(n**k - 1, 300)
+        for seed in (0, 1, 2):
+            rng, old = random.Random(seed), random.Random(seed)
+            drawn = list(suites._tuples(pool, k, cap, rng))
+            draws = (pool[old.randrange(n)] for _ in range(cap * k))
+            assert drawn == list(zip(*[draws] * k))
+            assert rng.getstate() == old.getstate()
+            assert rng.random() == old.random()
+    # n = 1 enumerates its single tuple at every cap, so draw directly too
+    rng, old = random.Random(n), random.Random(n)
+    assert list(suites._draws(pool, 200, rng)) == [pool[old.randrange(n)] for _ in range(200)]
+    assert rng.getstate() == old.getstate()
