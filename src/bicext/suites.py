@@ -234,8 +234,8 @@ Outcome = Tuple[str, int, Optional[str]]
 
 
 def c_group_laws(ctx: _Ctx) -> Outcome:
-    # pair products build their results unchecked, so this check is also
-    # the guard that mul and inv never leave the carrier
+    # pair products and shift composites build their results unchecked, so
+    # this check is also the guard that mul and inv never leave the carrier
     g = ctx.group
     closed = g.contains
     elems = ctx.elements()
