@@ -14,6 +14,11 @@ lives in the check's locals and never outlives it or passes to another
 check, so verdicts, case counts and counterexamples are those of the
 per-sample scan, and a check's carrier-op cost does not depend on which
 checks ran before it.
+
+Most checks are ``_forall`` clauses: tuples, a predicate that must hold
+on each, and a message for a tuple where it fails.  ``_forall`` counts
+one case per tuple tried, across the clauses in order, up to and
+including the first counterexample.  Seeded draws happen lazily, in turn.
 """
 
 from __future__ import annotations
@@ -230,6 +235,18 @@ def _rows_once(keys: Sequence, build: Callable) -> Iterable:
 Outcome = Tuple[str, int, Optional[str]]
 
 
+def _forall(*clauses: Tuple[Iterable[tuple], Callable[..., bool], Callable[..., str]]) -> Outcome:
+    """Check ``holds(*args)`` on each clause's ``tuples`` in turn; the first
+    failing ``args`` fails the check with ``describe(*args)``."""
+    cases = 0
+    for tuples, holds, describe in clauses:
+        for args in tuples:
+            cases += 1
+            if not holds(*args):
+                return "fail", cases, describe(*args)
+    return "pass", cases, None
+
+
 # --- carrier axiom checks -------------------------------------------------
 
 
@@ -237,68 +254,67 @@ def c_group_laws(ctx: _Ctx) -> Outcome:
     # pair products and shift composites build their results unchecked, so
     # this check is also the guard that mul and inv never leave the carrier
     g = ctx.group
-    closed = g.contains
     elems = ctx.elements()
-    cases = 0
-    for a, b, c in _tuples(elems, 3, 4000, ctx.rng("group-laws")):
-        cases += 1
+    e = g.identity
+
+    def triple_fault(a, b, c):
         ab, bc = g.mul(a, b), g.mul(b, c)
         lhs, rhs = g.mul(ab, c), g.mul(a, bc)
-        if not all(map(closed, (ab, bc, lhs, rhs))):
-            return "fail", cases, f"a product left the carrier at {g.render(a)}, {g.render(b)}, {g.render(c)}"
+        if not all(map(g.contains, (ab, bc, lhs, rhs))):
+            return f"a product left the carrier at {g.render(a)}, {g.render(b)}, {g.render(c)}"
         if lhs != rhs:
-            return "fail", cases, f"associativity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}"
-    e = g.identity
-    for a in elems:
-        cases += 1
+            return f"associativity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}"
+
+    def unit_fault(a):
         ia = g.inv(a)
         ae, ea, a_ia, ia_a = g.mul(a, e), g.mul(e, a), g.mul(a, ia), g.mul(ia, a)
-        if not all(map(closed, (ia, ae, ea, a_ia, ia_a))):
-            return "fail", cases, f"an inverse or product left the carrier at {g.render(a)}"
+        if not all(map(g.contains, (ia, ae, ea, a_ia, ia_a))):
+            return f"an inverse or product left the carrier at {g.render(a)}"
         if ae != a or ea != a:
-            return "fail", cases, f"identity law broke at {g.render(a)}"
+            return f"identity law broke at {g.render(a)}"
         if a_ia != e or ia_a != e:
-            return "fail", cases, f"inverse law broke at {g.render(a)}"
-    return "pass", cases, None
+            return f"inverse law broke at {g.render(a)}"
+
+    return _forall(
+        (_tuples(elems, 3, 4000, ctx.rng("group-laws")), lambda *abc: not triple_fault(*abc), triple_fault),
+        (zip(elems), lambda a: not unit_fault(a), unit_fault),
+    )
 
 
 def c_order_trichotomy(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    elems = ctx.elements()
-    cases = 0
-    for a, b in _tuples(elems, 2, 6000, ctx.rng("trichotomy")):
-        cases += 1
+
+    def consistent(a, b):
         v = g.cmp(a, b)
-        if v not in (-1, 0, 1) or v != -g.cmp(b, a) or (v == 0) != (a == b):
-            return "fail", cases, f"cmp inconsistent at {g.render(a)}, {g.render(b)}"
-    return "pass", cases, None
+        return v in (-1, 0, 1) and v == -g.cmp(b, a) and (v == 0) == (a == b)
+
+    return _forall((
+        _tuples(ctx.elements(), 2, 6000, ctx.rng("trichotomy")),
+        consistent,
+        lambda a, b: f"cmp inconsistent at {g.render(a)}, {g.render(b)}",
+    ))
 
 
 def c_order_transitivity(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    elems = ctx.elements()
-    cases = 0
-    for a, b, c in _tuples(elems, 3, 6000, ctx.rng("transitivity")):
-        cases += 1
-        if g.leq(a, b) and g.leq(b, c) and not g.leq(a, c):
-            return "fail", cases, f"transitivity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}"
-    return "pass", cases, None
+    return _forall((
+        _tuples(ctx.elements(), 3, 6000, ctx.rng("transitivity")),
+        lambda a, b, c: not (g.leq(a, b) and g.leq(b, c)) or g.leq(a, c),
+        lambda a, b, c: f"transitivity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}",
+    ))
 
 
 def c_order_bi_invariance(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    elems = ctx.elements()
-    cases = 0
-    for a, b, t in _tuples(elems, 3, 6000, ctx.rng("bi-invariance")):
-        cases += 1
-        if g.lt(a, b):
-            if not g.lt(g.mul(a, t), g.mul(b, t)) or not g.lt(g.mul(t, a), g.mul(t, b)):
-                return (
-                    "fail",
-                    cases,
-                    f"translation broke {g.render(a)} < {g.render(b)} by {g.render(t)}",
-                )
-    return "pass", cases, None
+
+    def invariant(a, b, t):
+        return not g.lt(a, b) or (g.lt(g.mul(a, t), g.mul(b, t)) and g.lt(g.mul(t, a), g.mul(t, b)))
+
+    return _forall((
+        _tuples(ctx.elements(), 3, 6000, ctx.rng("bi-invariance")),
+        invariant,
+        lambda a, b, t: f"translation broke {g.render(a)} < {g.render(b)} by {g.render(t)}",
+    ))
 
 
 def c_cone_axioms(ctx: _Ctx) -> Outcome:
@@ -329,28 +345,26 @@ def c_successor_minimality(ctx: _Ctx) -> Outcome:
     g = ctx.group
     if g.densely_ordered:
         return "not-applicable", 0, None
-    elems = _subset(ctx.elements(), 50, ctx.rng("succ-min"))
     radius = min(ctx.window, 3)
-    cases = 0
-    for a in elems:
-        cases += 1
-        if not successor_check(g, a, radius=radius):
-            return "fail", cases, f"successor not minimal above {g.render(a)}"
-    return "pass", cases, None
+    return _forall((
+        zip(_subset(ctx.elements(), 50, ctx.rng("succ-min"))),
+        lambda a: successor_check(g, a, radius=radius),
+        lambda a: f"successor not minimal above {g.render(a)}",
+    ))
 
 
 def c_succ_pred_roundtrip(ctx: _Ctx) -> Outcome:
     g = ctx.group
     if g.densely_ordered:
         return "not-applicable", 0, None
-    cases = 0
-    for a in ctx.elements():
-        cases += 1
+
+    def fault(a):
         if g.predecessor(g.successor(a)) != a or g.successor(g.predecessor(a)) != a:
-            return "fail", cases, f"succ/pred not mutually inverse at {g.render(a)}"
+            return f"succ/pred not mutually inverse at {g.render(a)}"
         if not g.lt(a, g.successor(a)):
-            return "fail", cases, f"successor not above {g.render(a)}"
-    return "pass", cases, None
+            return f"successor not above {g.render(a)}"
+
+    return _forall((zip(ctx.elements()), lambda a: not fault(a), fault))
 
 
 def c_density_witness(ctx: _Ctx) -> Outcome:
@@ -383,13 +397,11 @@ def c_noncommutative_witness(ctx: _Ctx) -> Outcome:
 
 
 def c_pair_associativity(ctx: _Ctx) -> Outcome:
-    pool = ctx.pairs()
-    cases = 0
-    for s, t, u in _tuples(pool, 3, BUDGET // 3, ctx.rng("pair-assoc")):
-        cases += 1
-        if (s * t) * u != s * (t * u):
-            return "fail", cases, f"associativity broke at {s}, {t}, {u}"
-    return "pass", cases, None
+    return _forall((
+        _tuples(ctx.pairs(), 3, BUDGET // 3, ctx.rng("pair-assoc")),
+        lambda s, t, u: (s * t) * u == s * (t * u),
+        lambda s, t, u: f"associativity broke at {s}, {t}, {u}",
+    ))
 
 
 def c_pair_inverse_unique(ctx: _Ctx) -> Outcome:
@@ -412,22 +424,19 @@ def c_pair_inverse_unique(ctx: _Ctx) -> Outcome:
 def c_idempotents_commute(ctx: _Ctx) -> Outcome:
     g = ctx.group
     idems = [idempotent(g, x) for x in ctx.elements()]
-    cases = 0
-    for e, f in _tuples(idems, 2, 6000, ctx.rng("idem-commute")):
-        cases += 1
-        if e * f != f * e:
-            return "fail", cases, f"idempotents {e} and {f} do not commute"
-    return "pass", cases, None
+    return _forall((
+        _tuples(idems, 2, 6000, ctx.rng("idem-commute")),
+        lambda e, f: e * f == f * e,
+        lambda e, f: f"idempotents {e} and {f} do not commute",
+    ))
 
 
 def c_bplus_closure(ctx: _Ctx) -> Outcome:
-    pool = ctx.pairs(bplus=True)
-    cases = 0
-    for s, t in _tuples(pool, 2, BUDGET // 2, ctx.rng("bplus-closure")):
-        cases += 1
-        if not (s * t).in_bplus():
-            return "fail", cases, f"product {s} * {t} left the positive part"
-    return "pass", cases, None
+    return _forall((
+        _tuples(ctx.pairs(bplus=True), 2, BUDGET // 2, ctx.rng("bplus-closure")),
+        lambda s, t: (s * t).in_bplus(),
+        lambda s, t: f"product {s} * {t} left the positive part",
+    ))
 
 
 def c_bicyclic_presentation(ctx: _Ctx) -> Outcome:
@@ -475,42 +484,37 @@ def c_no_identity(ctx: _Ctx) -> Outcome:
 
 
 def c_natleq_vs_oracle(ctx: _Ctx) -> Outcome:
-    pool = ctx.pairs()
-    cases = 0
-    for s, t in _tuples(pool, 2, 1200, ctx.rng("natleq-oracle")):
-        cases += 1
-        if nat_leq(s, t) != nat_leq_oracle(s, t):
-            return "fail", cases, f"order test and oracle disagree on {s}, {t}"
-    return "pass", cases, None
+    return _forall((
+        _tuples(ctx.pairs(), 2, 1200, ctx.rng("natleq-oracle")),
+        lambda s, t: nat_leq(s, t) == nat_leq_oracle(s, t),
+        lambda s, t: f"order test and oracle disagree on {s}, {t}",
+    ))
 
 
 def c_natleq_clause_duality(ctx: _Ctx) -> Outcome:
-    pool = ctx.pairs()
-    cases = 0
-    for s, t in _tuples(pool, 2, 8000, ctx.rng("natleq-dual")):
-        cases += 1
-        if nat_leq(s, t) != nat_leq_dual(s, t):
-            return "fail", cases, f"coordinate clauses disagree on {s}, {t}"
-    return "pass", cases, None
+    return _forall((
+        _tuples(ctx.pairs(), 2, 8000, ctx.rng("natleq-dual")),
+        lambda s, t: nat_leq(s, t) == nat_leq_dual(s, t),
+        lambda s, t: f"coordinate clauses disagree on {s}, {t}",
+    ))
 
 
 def c_natorder_partial_order(ctx: _Ctx) -> Outcome:
     pool = ctx.pairs()
     rng = ctx.rng("partial-order")
-    cases = 0
-    for s in _subset(pool, 3000, rng):
-        cases += 1
-        if not nat_leq(s, s):
-            return "fail", cases, f"reflexivity broke at {s}"
-    for s, t in _tuples(pool, 2, 4000, rng):
-        cases += 1
-        if nat_leq(s, t) and nat_leq(t, s) and s != t:
-            return "fail", cases, f"antisymmetry broke at {s}, {t}"
-    for s, t, u in _tuples(pool, 3, 4000, rng):
-        cases += 1
-        if nat_leq(s, t) and nat_leq(t, u) and not nat_leq(s, u):
-            return "fail", cases, f"transitivity broke at {s}, {t}, {u}"
-    return "pass", cases, None
+    return _forall(
+        (zip(_subset(pool, 3000, rng)), lambda s: nat_leq(s, s), lambda s: f"reflexivity broke at {s}"),
+        (
+            _tuples(pool, 2, 4000, rng),
+            lambda s, t: not (nat_leq(s, t) and nat_leq(t, s)) or s == t,
+            lambda s, t: f"antisymmetry broke at {s}, {t}",
+        ),
+        (
+            _tuples(pool, 3, 4000, rng),
+            lambda s, t, u: not (nat_leq(s, t) and nat_leq(t, u)) or nat_leq(s, u),
+            lambda s, t, u: f"transitivity broke at {s}, {t}, {u}",
+        ),
+    )
 
 
 def c_natorder_compatibility(ctx: _Ctx) -> Outcome:
@@ -537,18 +541,17 @@ def c_natorder_compatibility(ctx: _Ctx) -> Outcome:
 
 def c_triple_factorization(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    elems = ctx.elements()
-    cases = 0
-    for a, b, c, d in _tuples(elems, 4, 6000, ctx.rng("factorization")):
-        cases += 1
-        lhs = BElement(g, a, c) * BElement(g, c, d) * BElement(g, d, b)
-        if lhs != BElement(g, a, b):
-            return (
-                "fail",
-                cases,
-                f"factorization broke at {g.render(a)},{g.render(b)},{g.render(c)},{g.render(d)}",
-            )
-    return "pass", cases, None
+
+    def factors(a, b, c, d):
+        # the factors already checked a and b: compare [a|b] by coordinates
+        p = BElement(g, a, c) * BElement(g, c, d) * BElement(g, d, b)
+        return (p.left, p.right) == (a, b)
+
+    return _forall((
+        _tuples(ctx.elements(), 4, 6000, ctx.rng("factorization")),
+        factors,
+        lambda *abcd: f"factorization broke at {','.join(map(g.render, abcd))}",
+    ))
 
 
 # --- solver checks ---------------------------------------------------------
@@ -678,13 +681,11 @@ def c_ideal_membership(ctx: _Ctx) -> Outcome:
 
 
 def c_rep_soundness(ctx: _Ctx) -> Outcome:
-    pool = ctx.pairs()
-    cases = 0
-    for s, t in _tuples(pool, 2, 6000, ctx.rng("rep-soundness")):
-        cases += 1
-        if not pair_product_matches_shifts(s, t):
-            return "fail", cases, f"pair product and shift composite split on {s}, {t}"
-    return "pass", cases, None
+    return _forall((
+        _tuples(ctx.pairs(), 2, 6000, ctx.rng("rep-soundness")),
+        pair_product_matches_shifts,
+        lambda s, t: f"pair product and shift composite split on {s}, {t}",
+    ))
 
 
 def c_pointwise_composition(ctx: _Ctx) -> Outcome:
@@ -813,20 +814,18 @@ def c_dl_set_equivalence(ctx: _Ctx) -> Outcome:
     rng = ctx.rng("dl-set")
     pool = _subset(ctx.pairs(), 1200, rng)
     anchors = _subset(ctx.elements(), 7, rng)
-    cases = 0
-    for s in pool:
-        for anchor in anchors:
-            cases += 1
-            direct = dl_set_member(s, anchor)
-            characterized = s.is_idempotent() and g.leq(s.left, anchor)
-            above_anchor = nat_leq(idempotent(g, anchor), s)
-            if not (direct == characterized == above_anchor):
-                return (
-                    "fail",
-                    cases,
-                    f"stabilizer test splits at {s}, anchor {g.render(anchor)}",
-                )
-    return "pass", cases, None
+
+    def agree(s, anchor):
+        direct = dl_set_member(s, anchor)
+        characterized = s.is_idempotent() and g.leq(s.left, anchor)
+        above_anchor = nat_leq(idempotent(g, anchor), s)
+        return direct == characterized == above_anchor
+
+    return _forall((
+        itertools.product(pool, anchors),
+        agree,
+        lambda s, anchor: f"stabilizer test splits at {s}, anchor {g.render(anchor)}",
+    ))
 
 
 SUITES: Dict[str, Tuple[Tuple[str, Callable[[_Ctx], Outcome]], ...]] = {
@@ -884,8 +883,8 @@ def run_suites(cfg: SuiteConfig) -> SuiteReport:
 
     Deterministic given (group, window, sample_seed); checks never
     mutate shared state, so the order of execution cannot change any
-    verdict.  A check that raises a library error is recorded as a
-    failure carrying the message.
+    verdict.  A library error or a checked constructor's ``ValueError``
+    raised in a check is recorded as a failure carrying the message.
     """
     group = cfg.resolve_group()
     ctx = _Ctx(group, cfg.window, cfg.sample_seed)
@@ -895,7 +894,7 @@ def run_suites(cfg: SuiteConfig) -> SuiteReport:
             t0 = time.perf_counter()
             try:
                 status, cases, counter = fn(ctx)
-            except BicextError as exc:
+            except (BicextError, ValueError) as exc:
                 status, cases, counter = "fail", 0, f"{type(exc).__name__}: {exc}"
             wall = (time.perf_counter() - t0) * 1000.0
             results.append(CheckResult(suite, name, status, cases, counter, wall))
