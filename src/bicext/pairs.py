@@ -11,6 +11,14 @@ Payloads are validated at the boundary only: the public constructor,
 Products, inverses and solver results are built unchecked, because a
 carrier is closed under its own ``mul`` and ``inv``; the ``group-laws``
 suite check guards that closure on every carrier it runs over.
+
+Every value, checked or not, is filled the same way, by ``_make`` or
+its inline copy in ``__mul__``: plain attribute stores on a
+``_PairSlots`` object, which is then retagged as a ``BElement``.  The
+raising ``__setattr__`` that keeps a finished value frozen would refuse
+those stores, so they go to the layout twin, which has the same slots
+and no ``__setattr__``; CPython allows the ``__class__`` assignment
+because the two layouts are identical.
 """
 
 from __future__ import annotations
@@ -22,24 +30,29 @@ from .errors import InstanceMismatch
 from .ogroups import Bounds, Element, OrderedGroup
 
 
-class BElement:
+class _PairSlots:
+    """The storage layout of ``BElement``, without its frozen ``__setattr__``."""
+
+    __slots__ = ("group", "left", "right")
+
+
+class BElement(_PairSlots):
     """One element of the pair semigroup over a fixed ordered group.
 
     An immutable value: equal pairs hash alike, and assigning or deleting
     a field raises ``FrozenInstanceError`` (an ``AttributeError``).
     """
 
-    __slots__ = ("group", "left", "right")
+    # a slot added here alone would make the retag in _make fail
+    __slots__ = ()
     __match_args__ = ("group", "left", "right")
 
-    def __init__(self, group: OrderedGroup, left: Element, right: Element):
+    def __new__(cls, group: OrderedGroup, left: Element, right: Element):
         if not (group.contains(left) and group.contains(right)):
             raise ValueError(
                 f"payload outside the {group.name} carrier: {left!r}, {right!r}"
             )
-        _set_group(self, group)
-        _set_left(self, left)
-        _set_right(self, right)
+        return _make(group, left, right)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -75,10 +88,11 @@ class BElement:
         elif verdict > 0:
             d = g.mul(g.mul(b, g.inv(c)), d)
         # built inline as _make does, one call frame cheaper per product
-        s = _new(BElement)
-        _set_group(s, g)
-        _set_left(s, a)
-        _set_right(s, d)
+        s = _PairSlots()
+        s.group = g
+        s.left = a
+        s.right = d
+        s.__class__ = BElement
         return s
 
     def inverse(self) -> "BElement":
@@ -100,19 +114,13 @@ class BElement:
         return f"BElement({self.group.name}, {self.left!r}, {self.right!r})"
 
 
-_new = object.__new__
-# the slots' own setters: they bypass the raising __setattr__
-_set_group = BElement.group.__set__
-_set_left = BElement.left.__set__
-_set_right = BElement.right.__set__
-
-
 def _make(group: OrderedGroup, left: Element, right: Element) -> BElement:
     """Unchecked constructor for payloads the carrier produced itself."""
-    s = _new(BElement)
-    _set_group(s, group)
-    _set_left(s, left)
-    _set_right(s, right)
+    s = _PairSlots()
+    s.group = group
+    s.left = left
+    s.right = right
+    s.__class__ = BElement
     return s
 
 

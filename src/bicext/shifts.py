@@ -13,6 +13,10 @@ public ``PartialShift`` constructor checks both with ``contains``.
 results unchecked, because their anchors are carrier products or come
 from an already checked shift or pair; the ``group-laws`` suite check
 guards the closure of ``mul`` and ``inv`` that this relies on.
+
+Shifts are filled as pairs are (see ``pairs``): ``_shift`` stores the
+fields on a ``_ShiftSlots`` layout twin, which has no raising
+``__setattr__``, and retags the finished object as a ``PartialShift``.
 """
 
 from __future__ import annotations
@@ -25,22 +29,27 @@ from .ogroups import Element, OrderedGroup
 from .pairs import BElement
 
 
-class PartialShift:
+class _ShiftSlots:
+    """The storage layout of ``PartialShift``, without its frozen ``__setattr__``."""
+
+    __slots__ = ("group", "dom_anchor", "cod_anchor")
+
+
+class PartialShift(_ShiftSlots):
     """Bijection from the cone at ``dom_anchor`` onto the cone at ``cod_anchor``.
 
     An immutable value: equal shifts hash alike, and assigning or deleting
     a field raises ``FrozenInstanceError`` (an ``AttributeError``).
     """
 
-    __slots__ = ("group", "dom_anchor", "cod_anchor")
+    # a slot added here alone would make the retag in _shift fail
+    __slots__ = ()
     __match_args__ = ("group", "dom_anchor", "cod_anchor")
 
-    def __init__(self, group: OrderedGroup, dom_anchor: Element, cod_anchor: Element):
+    def __new__(cls, group: OrderedGroup, dom_anchor: Element, cod_anchor: Element):
         if not (group.contains(dom_anchor) and group.contains(cod_anchor)):
             raise ValueError(f"anchor outside the {group.name} carrier")
-        _set_group(self, group)
-        _set_dom(self, dom_anchor)
-        _set_cod(self, cod_anchor)
+        return _shift(group, dom_anchor, cod_anchor)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -88,19 +97,13 @@ class PartialShift:
         return f"shift {g.render(self.dom_anchor)} -> {g.render(self.cod_anchor)}"
 
 
-_new = object.__new__
-# the slots' own setters: they bypass the raising __setattr__
-_set_group = PartialShift.group.__set__
-_set_dom = PartialShift.dom_anchor.__set__
-_set_cod = PartialShift.cod_anchor.__set__
-
-
 def _shift(group: OrderedGroup, dom_anchor: Element, cod_anchor: Element) -> PartialShift:
     """Unchecked constructor for anchors the carrier produced itself."""
-    m = _new(PartialShift)
-    _set_group(m, group)
-    _set_dom(m, dom_anchor)
-    _set_cod(m, cod_anchor)
+    m = _ShiftSlots()
+    m.group = group
+    m.dom_anchor = dom_anchor
+    m.cod_anchor = cod_anchor
+    m.__class__ = PartialShift
     return m
 
 

@@ -8,8 +8,9 @@ with a stable JSON form; only the wall-time fields vary between runs.
 
 The brute-force oracles memoize their pure products inside each check:
 the products of each known factor with the whole pool, kept until the
-last sample that reads them, and one product set per ideal anchor.  A
-product shared by several samples is then computed once.  The memo
+last sample that reads them, one product set per ideal anchor, and the
+pool's up-set above each distinct solver answer.  A product or order
+test shared by several samples is then computed once.  The memo
 lives in the check's locals and never outlives it or passes to another
 check, so verdicts, case counts and counterexamples are those of the
 per-sample scan, and a check's carrier-op cost does not depend on which
@@ -18,7 +19,8 @@ checks ran before it.
 Most checks are ``_forall`` clauses: tuples, a predicate that must hold
 on each, and a message for a tuple where it fails.  ``_forall`` counts
 one case per tuple tried, across the clauses in order, up to and
-including the first counterexample.  Seeded draws happen lazily, in turn.
+including the first counterexample; a tuple whose predicate raises a
+library error is that counterexample.  Seeded draws happen lazily, in turn.
 """
 
 from __future__ import annotations
@@ -237,14 +239,25 @@ Outcome = Tuple[str, int, Optional[str]]
 
 def _forall(*clauses: Tuple[Iterable[tuple], Callable[..., bool], Callable[..., str]]) -> Outcome:
     """Check ``holds(*args)`` on each clause's ``tuples`` in turn; the first
-    failing ``args`` fails the check with ``describe(*args)``."""
+    failing ``args`` fails the check with ``describe(*args)``.  A library
+    error or payload ``ValueError`` raised by ``holds`` fails it at that
+    tuple, with the text ``run_suites`` gives an error a check raises."""
     cases = 0
     for tuples, holds, describe in clauses:
         for args in tuples:
             cases += 1
-            if not holds(*args):
+            try:
+                ok = holds(*args)
+            except (BicextError, ValueError) as exc:
+                return "fail", cases, _raised(exc)
+            if not ok:
                 return "fail", cases, describe(*args)
     return "pass", cases, None
+
+
+def _raised(exc: Exception) -> str:
+    """The counterexample text of a check that raised ``exc``."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 # --- carrier axiom checks -------------------------------------------------
@@ -557,19 +570,35 @@ def c_triple_factorization(ctx: _Ctx) -> Outcome:
 # --- solver checks ---------------------------------------------------------
 
 
-def _solution_matches_window(sol, brute, pool, pool_members) -> bool:
+def _up_sets(pool: Sequence[BElement]) -> Callable[[BElement], List[BElement]]:
+    """``up_set(base)``: the members of ``pool`` at or above ``base``, in pool
+    order, listed once per distinct ``base``.  A check makes its own, so the
+    memo lives in its locals."""
+
+    @cache
+    def up_set(base):
+        return [w for w in pool if nat_leq(base, w)]
+
+    return up_set
+
+
+def _solution_matches_window(sol, brute, pool_members, up_set) -> bool:
     """Compare a symbolic solution set against the brute-forced solutions
-    in ``pool``; ``pool_members`` is ``set(pool)``."""
+    in a pool; ``pool_members`` is ``set(pool)`` and ``up_set`` is the
+    pool's ``_up_sets``."""
     if sol.kind is SolutionKind.NO_SOLUTION:
         return brute == []
     if sol.kind is SolutionKind.UNIQUE:
         return brute == ([sol.element] if sol.element in pool_members else [])
-    return brute == [w for w in pool if nat_leq(sol.element, w)]
+    # keyed by the element the solver returned, so a wrong answer is
+    # compared against its own up-set, never against the expected one
+    return brute == up_set(sol.element)
 
 
 def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
     pool = ctx.pairs(bplus=bplus)
     pool_members = set(pool)
+    up_set = _up_sets(pool)
     budget_pairs = max(16, BUDGET // max(1, len(pool)))
     samples = list(_tuples(pool, 2, budget_pairs, ctx.rng(f"solve-{side}-{bplus}")))
     solve = solve_right if side == "right" else solve_left
@@ -589,7 +618,7 @@ def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
         key = (target.left, target.right)
         brute = [w for w, p in zip(pool, row) if p == key]
         cases += len(pool)
-        if not _solution_matches_window(sol, brute, pool, pool_members):
+        if not _solution_matches_window(sol, brute, pool_members, up_set):
             return (
                 "fail",
                 cases,
@@ -604,6 +633,7 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
     elems = [e for e in ctx.elements() if not bplus or g.is_positive(e)]
     pool = ctx.pairs(bplus=bplus)
     pool_members = set(pool)
+    up_set = _up_sets(pool)
     budget_quads = max(12, BUDGET // max(1, len(pool)))
     quads = list(_tuples(elems, 4, budget_quads, ctx.rng(f"sandwich-{bplus}")))
     # the first products leftk * w, once per left factor (a, c)
@@ -622,7 +652,7 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
             w for w, lw in zip(pool, lefts) if (p := lw * rightk).right == b and p.left == a
         ]
         cases += len(pool)
-        if not _solution_matches_window(sol, brute, pool, pool_members):
+        if not _solution_matches_window(sol, brute, pool_members, up_set):
             return (
                 "fail",
                 cases,
@@ -884,7 +914,9 @@ def run_suites(cfg: SuiteConfig) -> SuiteReport:
     Deterministic given (group, window, sample_seed); checks never
     mutate shared state, so the order of execution cannot change any
     verdict.  A library error or a checked constructor's ``ValueError``
-    raised in a check is recorded as a failure carrying the message.
+    raised in a check is recorded as a failure carrying the message; the
+    case count runs through the raising tuple in ``_forall`` checks and is
+    0 in the others.
     """
     group = cfg.resolve_group()
     ctx = _Ctx(group, cfg.window, cfg.sample_seed)
@@ -895,7 +927,7 @@ def run_suites(cfg: SuiteConfig) -> SuiteReport:
             try:
                 status, cases, counter = fn(ctx)
             except (BicextError, ValueError) as exc:
-                status, cases, counter = "fail", 0, f"{type(exc).__name__}: {exc}"
+                status, cases, counter = "fail", 0, _raised(exc)
             wall = (time.perf_counter() - t0) * 1000.0
             results.append(CheckResult(suite, name, status, cases, counter, wall))
     return SuiteReport(group.name, cfg.window, cfg.sample_seed, tuple(results))

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bicext.errors import InstanceMismatch
-from bicext.natorder import nat_leq
+from bicext.natorder import (
+    SolutionKind,
+    nat_leq,
+    solve_left,
+    solve_right,
+    solve_sandwich,
+    up_set_window,
+)
 from bicext.ogroups import GROUPS, H3, Q, Z, ZXZ
 from bicext.pairs import BElement, idempotent, pairs_in_window
 
@@ -141,16 +149,42 @@ def _sample(group):
     return be(group, group.identity, group.designated_positive)
 
 
+def _derived(g):
+    """Pairs the unchecked builders made: products in each branch of the
+    product, an inverse, solver answers and ``up_set_window`` members."""
+    one = g.designated_positive
+    lo, mid, hi = g.inv(one), g.identity, one
+    left = be(g, lo, mid)
+    out = [left * be(g, hi, lo), left * be(g, mid, hi), left * be(g, lo, lo), left.inverse()]
+    for solve, known, unique, up in (
+        (solve_right, be(g, mid, hi), be(g, hi, mid), be(g, mid, lo)),
+        (solve_left, be(g, hi, mid), be(g, mid, hi), be(g, lo, mid)),
+    ):
+        answers = solve(unique, known), solve(up, known)
+        assert [a.kind for a in answers] == [SolutionKind.UNIQUE, SolutionKind.UP_SET]
+        out += [a.element for a in answers]
+    out.append(solve_sandwich(be(g, lo, hi), be(g, lo, mid), be(g, mid, hi)).element)
+    if g.enumerable:
+        members = up_set_window(be(g, mid, mid), 1)
+        assert members
+        out += members
+    return out
+
+
 def test_value_semantics(any_group):
+    assert BElement.__slots__ == ()
     s = _sample(any_group)
-    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        assert twin == s and hash(twin) == hash(s)
-        assert (twin.left, twin.right) == (s.left, s.right)
-    for field in ("group", "left", "right"):
-        with pytest.raises(AttributeError):
-            setattr(s, field, s.left)
-        with pytest.raises(AttributeError):
-            delattr(s, field)
+    for v in [s, *_derived(any_group)]:
+        assert type(v) is BElement and not hasattr(v, "__dict__")
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(twin) is BElement
+            assert twin == v and hash(twin) == hash(v)
+            assert (twin.left, twin.right) == (v.left, v.right)
+        for field in ("group", "left", "right"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(v, field, v.left)
+            with pytest.raises(FrozenInstanceError):
+                delattr(v, field)
     assert s != (any_group, s.left, s.right)
 
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -113,15 +114,24 @@ def _sample(group):
 
 
 def test_value_semantics(any_group):
-    m = _sample(any_group)
-    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-        assert twin == m and hash(twin) == hash(m)
-        assert (twin.dom_anchor, twin.cod_anchor) == (m.dom_anchor, m.cod_anchor)
-    for field in ("group", "dom_anchor", "cod_anchor"):
-        with pytest.raises(AttributeError):
-            setattr(m, field, m.dom_anchor)
-        with pytest.raises(AttributeError):
-            delattr(m, field)
+    # a slot added to a value class alone would break the unchecked builders
+    assert BElement.__slots__ == PartialShift.__slots__ == ()
+    g = any_group
+    m = _sample(g)
+    n = PartialShift(g, g.designated_positive, g.identity)
+    derived = [compose(m, n), compose(n, m), m.inverse(),
+               pair_to_shift(BElement(g, g.identity, g.designated_positive))]
+    for v in [m, *derived]:
+        assert type(v) is PartialShift and not hasattr(v, "__dict__")
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(twin) is PartialShift
+            assert twin == v and hash(twin) == hash(v)
+            assert (twin.dom_anchor, twin.cod_anchor) == (v.dom_anchor, v.cod_anchor)
+        for field in ("group", "dom_anchor", "cod_anchor"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(v, field, v.dom_anchor)
+            with pytest.raises(FrozenInstanceError):
+                delattr(v, field)
     assert m != (any_group, m.dom_anchor, m.cod_anchor)
     # separately constructed carriers of one type are interchangeable
     twin = _sample(type(any_group)())

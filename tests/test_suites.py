@@ -114,7 +114,7 @@ TAMPERED_W3_S0 = {
     "bplus-closure": ("fail", 11, "product [0|1] * [0|1] left the positive part"),
     "natleq-vs-oracle": (
         "fail",
-        0,
+        23,
         "InternalDisagreement: order characterizations disagree on [2|-1] vs [1|-2]: "
         "False/True/False",
     ),
@@ -200,6 +200,23 @@ def test_sandwich_rows_catch_a_wrong_sandwich_solution(monkeypatch):
     assert (status, cases) == ("fail", 12175)
     assert counter == (
         "sandwich solutions for target [1|2] via [1|0], [-1|2] do not match the up-set of [1|0]"
+    )
+
+
+def test_up_sets_catch_a_wrong_sandwich_solution(monkeypatch):
+    # the solutions are the up-set above [-2|0]; the answer given instead,
+    # the up-set above [-2|-1], is sample 201's own answer, so its up-set
+    # was already listed when sample 202 reads it
+    chosen = (BElement(Z, -1, 1), BElement(Z, -1, -2), BElement(Z, 0, 1))
+    listed = SolutionSet(SolutionKind.UP_SET, BElement(Z, -2, -1))
+    assert suites.solve_sandwich(BElement(Z, -1, 1), BElement(Z, -1, -2), BElement(Z, -1, 1)) == listed
+    monkeypatch.setattr(
+        suites, "solve_sandwich", _wrong_at(suites.solve_sandwich, chosen, listed)
+    )
+    status, cases, counter = _check("sandwich-complete")(suites._Ctx(Z, 2, 0))
+    assert (status, cases) == ("fail", 5075)
+    assert counter == (
+        "sandwich solutions for target [-1|1] via [-1|-2], [0|1] do not match the up-set of [-2|-1]"
     )
 
 
