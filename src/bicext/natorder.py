@@ -5,14 +5,20 @@ the verdict three independent ways and insists they agree.  Each
 one-unknown equation resolves, by a single comparison, into no solution,
 one closed-form solution, or an upward-closed solution set returned
 symbolically through its least element.
+
+The existential characterizations need no search, because each has one
+canonical witness.  s <= t exactly when s = e * t for some idempotent e,
+and then [s.left|s.left] * t = s: if s = [x|x] * t, either x <= t.left
+and s = t, or x > t.left and s.left = x.  For an idempotent e, s lies in
+e * S exactly when e * s = s (if s = e * t, then e * s = e * e * t = s),
+and in S * e exactly when s * e = s.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Literal, Optional, Tuple
+from typing import List, Literal, Optional
 
 from .errors import (
     InstanceMismatch,
@@ -23,7 +29,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .literals import pair_to_json
-from .ogroups import Bounds, Element, OrderedGroup
+from .ogroups import Bounds, Element
 from .pairs import BElement, _make
 
 Side = Literal["left", "right"]
@@ -63,47 +69,23 @@ def nat_leq_oracle(s: BElement, t: BElement) -> bool:
     """Re-derive the order verdict three independent ways and cross-check.
 
     Evaluates both multiplication characterizations (s == s * s^-1 * t
-    and s == t * s^-1 * s) plus an explicit search for an idempotent e
-    with s == e * t.  The idempotent anchors are the operands'
-    coordinates s.left, s.right, t.left, t.right, in that order, each
-    translated by k designated-positive steps for k = 0, 1, -1, 2, -2,
-    with repeats skipped.  They are tried lazily from s.left itself,
-    which suffices because a successful idempotent can always be
-    anchored at s.left: a true verdict costs one idempotent product,
-    a false one tries every distinct anchor.  All three must agree,
-    else InternalDisagreement (an arithmetic bug).
+    and s == t * s^-1 * s) plus the idempotent one, s == e * t for some
+    idempotent e, through its canonical witness e = [s.left|s.left].
+    That witness is exact: if s = [x|x] * t, then either x <= t.left and
+    s = t, or x > t.left and s.left = x, and in both cases
+    [s.left|s.left] * t = s.  All three must agree, else
+    InternalDisagreement (an arithmetic bug).
     """
     g = _same_instance(s, t)
     via_left = (s * s.inverse()) * t == s
     via_right = (t * s.inverse()) * s == s
-    via_idem = any(
-        _make(g, x, x) * t == s
-        for x in _anchors(g, (s.left, s.right, t.left, t.right))
-    )
+    via_idem = _make(g, s.left, s.left) * t == s
     if via_left == via_right == via_idem:
         return via_left
     raise InternalDisagreement(
         f"order characterizations disagree on {s} vs {t}: "
         f"{via_left}/{via_right}/{via_idem}"
     )
-
-
-@functools.cache
-def _oracle_steps(g: OrderedGroup) -> Tuple[Element, ...]:
-    """The designated-positive powers 0, 1, -1, 2, -2 of one carrier;
-    carriers compare equal by type, so this is one entry per carrier class."""
-    return tuple(g.power(g.designated_positive, k) for k in (0, 1, -1, 2, -2))
-
-
-def _anchors(g: OrderedGroup, bases) -> Iterator[Element]:
-    """Each base times each oracle step, base-major, without repeats."""
-    seen = set()
-    for base in bases:
-        for step in _oracle_steps(g):
-            x = g.mul(base, step)
-            if x not in seen:
-                seen.add(x)
-                yield x
 
 
 class SolutionKind(Enum):

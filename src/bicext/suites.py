@@ -8,13 +8,12 @@ with a stable JSON form; only the wall-time fields vary between runs.
 
 The brute-force oracles memoize their pure products inside each check:
 the products of each known factor with the whole pool, kept until the
-last sample that reads them, one product set per ideal anchor, and the
-pool's up-set above each distinct solver answer.  A product or order
-test shared by several samples is then computed once.  The memo
-lives in the check's locals and never outlives it or passes to another
-check, so verdicts, case counts and counterexamples are those of the
-per-sample scan, and a check's carrier-op cost does not depend on which
-checks ran before it.
+last sample that reads them, and the pool's up-set above each distinct
+solver answer.  A product or order test shared by several samples is
+then computed once.  The memo lives in the check's locals and never
+outlives it or passes to another check, so verdicts, case counts and
+counterexamples are those of the per-sample scan, and a check's
+carrier-op cost does not depend on which checks ran before it.
 
 Most checks are ``_forall`` clauses: tuples, a predicate that must hold
 on each, and a message for a tuple where it fails.  ``_forall`` counts
@@ -534,22 +533,24 @@ def c_natorder_compatibility(ctx: _Ctx) -> Outcome:
     g = ctx.group
     pool = ctx.pairs()
     elems = ctx.elements()
-    rng = ctx.rng("compatibility")
-    cases = 0
+
     # build comparable pairs directly: everything above s has the same
     # coordinate quotient and a left coordinate at or below s.left
-    for s, u in _tuples(pool, 2, 600, rng):
-        quot = g.mul(g.inv(s.left), s.right)
-        above = itertools.islice(
-            (BElement(g, x, g.mul(x, quot)) for x in elems if g.leq(x, s.left)), 6
-        )
-        for t in above:
-            cases += 1
-            if not nat_leq(s, t):
-                return "fail", cases, f"constructed comparable pair is wrong: {s}, {t}"
-            if not nat_leq(s * u, t * u) or not nat_leq(u * s, u * t):
-                return "fail", cases, f"multiplication broke {s} below {t} via {u}"
-    return "pass", cases, None
+    def comparable():
+        for s, u in _tuples(pool, 2, 600, ctx.rng("compatibility")):
+            quot = g.mul(g.inv(s.left), s.right)
+            for x in itertools.islice((x for x in elems if g.leq(x, s.left)), 6):
+                yield s, u, x, quot
+
+    def fault(s, u, x, quot):
+        # checked: the right coordinate is a carrier product
+        t = BElement(g, x, g.mul(x, quot))
+        if not nat_leq(s, t):
+            return f"constructed comparable pair is wrong: {s}, {t}"
+        if not nat_leq(s * u, t * u) or not nat_leq(u * s, u * t):
+            return f"multiplication broke {s} below {t} via {u}"
+
+    return _forall((comparable(), lambda *args: not fault(*args), fault))
 
 
 def c_triple_factorization(ctx: _Ctx) -> Outcome:
@@ -668,43 +669,31 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
 def c_ideal_membership(ctx: _Ctx) -> Outcome:
     g = ctx.group
     rng = ctx.rng("ideal-membership")
-    full = ctx.pairs()
-    plus = ctx.pairs(bplus=True)
     anchors = _subset(ctx.elements(), 5, rng)
-    probes = _subset(full, 40, rng)
-    # brute pools may be thinned, but the canonical witness (the probe
-    # itself) must stay reachable, so it is always tried as well
-    brute_full = _subset(full, 250, rng)
-    brute_plus = _subset(plus, 250, rng)
+    probes = _subset(ctx.pairs(), 40, rng)
 
-    @cache
-    def products(anchor, side: str, bplus: bool) -> frozenset:
+    def agree(s, anchor, side, bplus):
+        # for an idempotent e, s is in e*S exactly when e*s == s (S*e alike),
+        # so the probe is its own canonical witness
         e = idempotent(g, anchor)
-        pool = brute_plus if bplus else brute_full
-        return frozenset(e * t if side == "right" else t * e for t in pool)
+        exists = (not bplus or s.in_bplus()) and (e * s if side == "right" else s * e) == s
+        return ideal_member(s, anchor, side, bplus=bplus) == exists
 
-    cases = 0
-    for s in probes:
-        for anchor in anchors:
-            for side in ("right", "left"):
-                for bplus in (False, True):
-                    if bplus and not g.is_positive(anchor):
-                        continue
-                    # a witness among the brute pool's shared products, or
-                    # the probe itself where it may be one
-                    exists = s in products(anchor, side, bplus)
-                    if not exists and (not bplus or s.in_bplus()):
-                        e = idempotent(g, anchor)
-                        exists = (e * s if side == "right" else s * e) == s
-                    cases += 1
-                    if ideal_member(s, anchor, side, bplus=bplus) != exists:
-                        return (
-                            "fail",
-                            cases,
-                            f"ideal test disagrees with brute force: {s}, "
-                            f"anchor {g.render(anchor)}, {side}, bplus={bplus}",
-                        )
-    return "pass", cases, None
+    return _forall((
+        (
+            (s, anchor, side, bplus)
+            for s in probes
+            for anchor in anchors
+            for side in ("right", "left")
+            for bplus in (False, True)
+            if not bplus or g.is_positive(anchor)
+        ),
+        agree,
+        lambda s, anchor, side, bplus: (
+            f"ideal test disagrees with brute force: {s}, "
+            f"anchor {g.render(anchor)}, {side}, bplus={bplus}"
+        ),
+    ))
 
 
 # --- shift checks -----------------------------------------------------------
@@ -814,29 +803,31 @@ def c_escape_region_sweep(ctx: _Ctx) -> Outcome:
     anchors = [g.identity] + _subset(
         [e for e in ctx.elements() if e != g.identity], 2, rng
     )
-    cases = 0
-    for anchor in anchors:
-        idem_pair = idempotent(g, anchor)
-        succ = g.successor(anchor)
-        for x, y in _subset(escape_region(g, anchor, ctx.window), 1500, rng):
-            cases += 1
-            point = BElement(g, x, y)
-            cert = escape_certificate(idem_pair, point)
-            if cert.side == "left":
-                ok = (
-                    cert.product == idem_pair * point
-                    and cert.excluded_region.value == "left-ideal"
-                    and ideal_member(cert.product, succ, "left")
-                )
-            else:
-                ok = (
-                    cert.product == point * idem_pair
-                    and cert.excluded_region.value == "right-ideal"
-                    and ideal_member(cert.product, succ, "right")
-                )
-            if not ok:
-                return "fail", cases, f"bad escape certificate for {point} at {idem_pair}"
-    return "pass", cases, None
+
+    def points():
+        for anchor in anchors:
+            idem_pair = idempotent(g, anchor)
+            succ = g.successor(anchor)
+            for x, y in _subset(escape_region(g, anchor, ctx.window), 1500, rng):
+                yield idem_pair, succ, x, y
+
+    def certified(idem_pair, succ, x, y):
+        point = BElement(g, x, y)
+        cert = escape_certificate(idem_pair, point)
+        side = cert.side
+        return (
+            cert.product == (idem_pair * point if side == "left" else point * idem_pair)
+            and cert.excluded_region.value == f"{side}-ideal"
+            and ideal_member(cert.product, succ, side)
+        )
+
+    return _forall((
+        points(),
+        certified,
+        lambda idem_pair, succ, x, y: (
+            f"bad escape certificate for {BElement(g, x, y)} at {idem_pair}"
+        ),
+    ))
 
 
 def c_dl_set_equivalence(ctx: _Ctx) -> Outcome:

@@ -26,7 +26,7 @@ from bicext.natorder import (
     up_set_window,
 )
 from bicext.ogroups import H3, Q, Z, ZXZ
-from bicext.pairs import BElement, idempotent, pairs_in_window
+from bicext.pairs import BElement, idempotent, pairs_in_window, pairs_over
 
 
 def be(group, a, b):
@@ -61,36 +61,24 @@ def _idempotent_products(counting, g, s, t):
     return verdict, calls["cmp"] - 4
 
 
-def test_oracle_stops_at_the_first_anchor_that_works(any_group, counting):
-    g = any_group
-    p = g.designated_positive
-    for t in (be(g, g.identity, p), be(g, p, g.inv(p)), be(g, g.power(p, 3), g.power(p, 3))):
-        x = g.mul(t.left, p)  # s sits below t: same quotient, larger left
-        s = be(g, x, g.mul(x, g.mul(g.inv(t.left), t.right)))
-        assert nat_leq(s, t)
-        assert _idempotent_products(counting, g, s, t) == (True, 1)
-        assert _idempotent_products(counting, g, t, t) == (True, 1)
-
-
-def test_oracle_tries_every_distinct_anchor_on_false(any_group, counting):
+def test_oracle_makes_one_idempotent_product(any_group, counting):
+    # the idempotent characterization tries its canonical witness
+    # [s.left|s.left] only, whatever the verdict
     g = any_group
     p, e = g.designated_positive, g.identity
     cases = [
-        (be(g, e, e), be(g, e, p)),  # coordinates overlap: 6 distinct anchors
-        (be(g, g.inv(p), e), be(g, e, p)),  # same quotient, left too low: 7
+        (be(g, e, e), be(g, e, p)),  # coordinates overlap
+        (be(g, g.inv(p), e), be(g, e, p)),  # same quotient, left too low
         (be(g, g.power(p, 7), g.power(p, -7)), be(g, g.power(p, -30), g.power(p, 20))),
     ]
-    distinct = []
+    for t in (be(g, e, p), be(g, p, g.inv(p)), be(g, g.power(p, 3), g.power(p, 3))):
+        x = g.mul(t.left, p)  # s sits below t: same quotient, larger left
+        cases += [(be(g, x, g.mul(x, g.mul(g.inv(t.left), t.right))), t), (t, t)]
+    verdicts = []
     for s, t in cases:
-        assert not nat_leq(s, t)
-        anchors = {
-            g.mul(c, g.power(p, k))
-            for c in (s.left, s.right, t.left, t.right)
-            for k in range(-2, 3)
-        }
-        assert _idempotent_products(counting, g, s, t) == (False, len(anchors))
-        distinct.append(len(anchors))
-    assert distinct == [6, 7, 20]
+        verdicts.append(nat_leq(s, t))
+        assert _idempotent_products(counting, g, s, t) == (verdicts[-1], 1)
+    assert verdicts == [False] * 3 + [True] * 6
 
 
 def test_oracle_reports_split_characterizations(broken_group):
@@ -99,6 +87,23 @@ def test_oracle_reports_split_characterizations(broken_group):
     s, t = be(broken_group, -3, -2), be(broken_group, -3, 2)
     with pytest.raises(InternalDisagreement, match="False/True/False"):
         nat_leq_oracle(s, t)
+
+
+@pytest.mark.parametrize(
+    "g, bounds", [(Z, 3), (ZXZ, 1), (H3, 1), (Q, 2)], ids=["Z", "ZxZ", "H3", "Q"]
+)
+def test_canonical_witnesses_over_every_idempotent(g, bounds):
+    # the oracles test one witness each; this loop is the search over
+    # every window idempotent e that they replace: s = e * t sits below t
+    # through [s.left|s.left], and e fixes s (and t * e) from its side
+    elems = g.window(bounds)
+    for t in pairs_over(g, elems):
+        for x in elems:
+            e = idempotent(g, x)
+            s = e * t
+            assert idempotent(g, s.left) * t == s
+            assert e * s == s
+            assert (t * e) * e == t * e
 
 
 def test_idempotent_order_reverses_coordinates():

@@ -60,15 +60,19 @@ def test_broken_group_fails_axioms_with_counterexample(broken_group):
 
 def test_group_laws_catch_a_product_leaving_the_carrier(leaky_group):
     # every suite runs: the checked constructors reject the leaked payloads
-    # in later checks, and that must become a failure, not abort the run
-    for window in (2, 4):
+    # in later checks, and that must become a failure, not abort the run;
+    # the compatibility check counts its cases through the raising one
+    for window, cases, payload in ((2, 21, "-2, 1.0"), (3, 4, "-3, 0.0"), (4, 21, "-2, 3.0")):
         report = run_suites(SuiteConfig(group=leaky_group, window=window))
         by_name = {c.name: c for c in report.checks}
         laws = by_name["group-laws"]
         assert laws.status == "fail"
         assert "left the carrier" in laws.counterexample
-        assert by_name["natorder-compatibility"].counterexample.startswith(
-            "ValueError: payload outside the Zleaky carrier"
+        compat = by_name["natorder-compatibility"]
+        assert (compat.status, compat.cases, compat.counterexample) == (
+            "fail",
+            cases,
+            f"ValueError: payload outside the Zleaky carrier: {payload}",
         )
 
 
@@ -122,6 +126,11 @@ TAMPERED_W3_S0 = {
     "natorder-partial-order": ("fail", 432, "antisymmetry broke at [-2|-3], [2|1]"),
     "triple-factorization": ("pass", 2401, None),
     "rep-soundness": ("fail", 85, "pair product and shift composite split on [-3|-2], [2|-3]"),
+    "escape-region-sweep": (
+        "fail",
+        2,
+        "InternalError: escape product [0|2] missed the predicted ideal",
+    ),
     "dl-set-equivalence": ("fail", 62, "stabilizer test splits at [-2|-2], anchor 2"),
 }
 
@@ -168,11 +177,12 @@ def _wrong_at(real, chosen, answer):
     return patched
 
 
-# Negative controls for the memoized oracles: one wrong solver answer, at a
-# sample whose product row or product set an earlier sample already built,
-# must fail the check at the same case, with the same counterexample, as
-# the per-sample scan did.  At Z window 2 every solver sample space is
-# enumerated, so each row is shared by 25 samples.
+# Negative controls for the oracles: one wrong solver answer, at a sample
+# whose product row an earlier sample already built, must fail the check
+# at the same case, with the same counterexample, as the per-sample scan
+# did.  At Z window 2 every solver sample space is enumerated, so each
+# row is shared by 25 samples.  The ideal oracle is the probe's own
+# product test, and one wrong membership verdict must fail it too.
 
 
 def test_solver_rows_catch_a_wrong_right_solution(monkeypatch):
