@@ -61,9 +61,21 @@ def _idempotent_products(counting, g, s, t):
     return verdict, calls["cmp"] - 4
 
 
-def test_oracle_makes_one_idempotent_product(any_group, counting):
-    # the idempotent characterization tries its canonical witness
-    # [s.left|s.left] only, whatever the verdict
+def test_oracle_stops_at_the_first_anchor_that_works(any_group, counting):
+    # the first anchor is the canonical witness [s.left|s.left]
+    g = any_group
+    p = g.designated_positive
+    for t in (be(g, g.identity, p), be(g, p, g.inv(p)), be(g, g.power(p, 3), g.power(p, 3))):
+        x = g.mul(t.left, p)  # s sits below t: same quotient, larger left
+        s = be(g, x, g.mul(x, g.mul(g.inv(t.left), t.right)))
+        assert nat_leq(s, t)
+        assert _idempotent_products(counting, g, s, t) == (True, 1)
+        assert _idempotent_products(counting, g, t, t) == (True, 1)
+
+
+def test_oracle_tries_every_distinct_anchor_on_false(any_group, counting):
+    # [s.left|s.left] is the only anchor that can witness s <= t, so a
+    # false verdict also costs one idempotent product, not one per anchor
     g = any_group
     p, e = g.designated_positive, g.identity
     cases = [
@@ -71,14 +83,9 @@ def test_oracle_makes_one_idempotent_product(any_group, counting):
         (be(g, g.inv(p), e), be(g, e, p)),  # same quotient, left too low
         (be(g, g.power(p, 7), g.power(p, -7)), be(g, g.power(p, -30), g.power(p, 20))),
     ]
-    for t in (be(g, e, p), be(g, p, g.inv(p)), be(g, g.power(p, 3), g.power(p, 3))):
-        x = g.mul(t.left, p)  # s sits below t: same quotient, larger left
-        cases += [(be(g, x, g.mul(x, g.mul(g.inv(t.left), t.right))), t), (t, t)]
-    verdicts = []
     for s, t in cases:
-        verdicts.append(nat_leq(s, t))
-        assert _idempotent_products(counting, g, s, t) == (verdicts[-1], 1)
-    assert verdicts == [False] * 3 + [True] * 6
+        assert not nat_leq(s, t)
+        assert _idempotent_products(counting, g, s, t) == (False, 1)
 
 
 def test_oracle_reports_split_characterizations(broken_group):
