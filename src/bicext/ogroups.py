@@ -11,6 +11,11 @@ checker at the bottom of this module rather than taken on faith.
 Element payloads are plain Python values (int, Fraction, tuple of ints),
 so equality is structural and all arithmetic is exact; integers never
 wrap because Python's are unbounded.
+
+The rational carrier reads and stores the private ``_numerator`` and
+``_denominator`` slots of CPython's ``fractions.Fraction``; a test against
+the public operators fails if a Python release renames them or makes
+hashing or equality read a slot these stores leave unset.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import NotApplicable
@@ -186,6 +192,10 @@ class RationalGroup(OrderedGroup):
     with a positive denominator, so structural equality is canonical.
     The carrier is not enumerable; its ``window`` is a deterministic grid
     of fractions instead.
+
+    ``mul``, ``inv`` and ``cmp`` take ``Fraction`` payloads only, as
+    ``contains`` enforces, and work on its ``_numerator``/``_denominator``
+    slots; results equal those of ``+`` and ``-`` in type and hash too.
     """
 
     name = "Q"
@@ -197,16 +207,27 @@ class RationalGroup(OrderedGroup):
     designated_positive = Fraction(1)
 
     def mul(self, g, h):
-        return g + h
+        # fractions.Fraction._add's gcd steps: each result is reduced
+        na, da = g._numerator, g._denominator
+        nb, db = h._numerator, h._denominator
+        k = gcd(da, db)
+        if k == 1:
+            return _fraction(na * db + da * nb, da * db)
+        s = da // k
+        t = na * (db // k) + nb * s
+        k2 = gcd(t, k)
+        if k2 == 1:
+            return _fraction(t, s * db)
+        return _fraction(t // k2, s * (db // k2))
 
     def inv(self, g):
-        return -g
+        return _fraction(-g._numerator, g._denominator)
 
     def cmp(self, g, h):
         # denominators are positive, so cross-multiplying keeps the order;
         # one integer comparison instead of two Fraction ones
-        a = g.numerator * h.denominator
-        b = h.numerator * g.denominator
+        a = g._numerator * h._denominator
+        b = h._numerator * g._denominator
         return (a > b) - (a < b)
 
     def contains(self, x) -> bool:
@@ -227,6 +248,14 @@ class RationalGroup(OrderedGroup):
             for p in range(-bound, bound + 1)
         }
         return sorted(vals)
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d for coprime n and d > 0, without ``Fraction()``'s dispatch and gcd."""
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 class LexTupleGroup(OrderedGroup):

@@ -807,24 +807,26 @@ def c_escape_region_sweep(ctx: _Ctx) -> Outcome:
     def points():
         for anchor in anchors:
             idem_pair = idempotent(g, anchor)
-            succ = g.successor(anchor)
+            succ_idem = idempotent(g, g.successor(anchor))
             for x, y in _subset(escape_region(g, anchor, ctx.window), 1500, rng):
-                yield idem_pair, succ, x, y
+                yield idem_pair, succ_idem, x, y
 
-    def certified(idem_pair, succ, x, y):
+    def certified(idem_pair, succ_idem, x, y):
         point = BElement(g, x, y)
         cert = escape_certificate(idem_pair, point)
-        side = cert.side
+        side, p = cert.side, cert.product
+        # the canonical-witness test of the landed ideal, independent of
+        # the ideal_member test the certificate already ran
         return (
-            cert.product == (idem_pair * point if side == "left" else point * idem_pair)
+            p == (idem_pair * point if side == "left" else point * idem_pair)
             and cert.excluded_region.value == f"{side}-ideal"
-            and ideal_member(cert.product, succ, side)
+            and (succ_idem * p if side == "right" else p * succ_idem) == p
         )
 
     return _forall((
         points(),
         certified,
-        lambda idem_pair, succ, x, y: (
+        lambda idem_pair, succ_idem, x, y: (
             f"bad escape certificate for {BElement(g, x, y)} at {idem_pair}"
         ),
     ))

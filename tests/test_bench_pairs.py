@@ -1,5 +1,8 @@
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -28,3 +31,41 @@ def test_summarise_takes_a_single_pair():
     row = bench_pairs.summarise([2.0], [1.0], "lower", 0.25)
     assert row["base"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert row["change_wins"] == 1 and row["gain_holds"]
+
+
+def _stub_bench(bad):
+    """A ``_bench`` that answers at once; the runs named in ``bad``, as
+    (workload, side's checkout name, seed, trace), report ``bad[key]``."""
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
+
+    def bench(checkout, workload, seed, seconds, trace):
+        verdict = bad.get((workload, checkout.name, seed, trace), {"correct": True, "failed": 0})
+        return {**verdict, "attempted": 10, "metrics": {k: {"value": 1.0} for k in names}}
+
+    return bench
+
+
+@pytest.mark.parametrize(
+    "bad, wrong",
+    [
+        ({}, []),
+        ({("api-stream", "change", 2, 0): {"correct": False, "failed": 0}}, ["api-stream"]),
+        ({("suite-z", "base", 1, 1): {"correct": True, "failed": 3}}, ["suite-z"]),
+    ],
+)
+def test_main_flags_incorrect_runs(tmp_path, monkeypatch, capsys, bad, wrong):
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "_extract", lambda commit, into: into)
+    monkeypatch.setattr(bench_pairs, "_bench", _stub_bench(bad))
+    out = tmp_path / "pairs.json"
+    code = bench_pairs.main(["--base", "a", "--change", "b", "--pairs", "2", "--out", str(out),
+                             "--workdir", str(tmp_path)])
+    record = json.loads(out.read_text())
+    assert code == (1 if wrong else 0)
+    assert [w for w, row in record["workloads"].items() if not row["all_correct"]] == wrong
+    # every workload ran all its pairs and its traced runs before the exit
+    for row in record["workloads"].values():
+        assert len(row["runs"]["base"]) == len(row["runs"]["change"]) == 2
+        assert set(row["traced_counts"]) == {"base", "change"}
+    assert ("incorrect or failed runs" in capsys.readouterr().err) == bool(wrong)

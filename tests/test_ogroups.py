@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bicext.errors import NotApplicable
@@ -107,6 +107,46 @@ def test_rational_cmp_agrees_with_fraction_order(a, b):
     # an equal value reached another way compares equal too
     assert Q.cmp(a, (a + b) - b) == 0
     assert Q.cmp(a, Fraction(a.numerator * 7, a.denominator * 7)) == 0
+
+
+# Q's ops run on Fraction's private slots: they must give what the public
+# operators give, down to the exact type and the hash, or a Python release
+# that renamed or added a slot would go unseen.  Hundreds of digits, zero
+# and a shared denominator factor (the addition's two gcd branches).
+_huge = 10**300
+numerators = st.just(0) | st.integers(-12, 12) | st.integers(-_huge, _huge)
+denominators = st.integers(1, 12) | st.integers(1, _huge)
+
+
+@st.composite
+def rational_pairs(draw):
+    shared = draw(st.sampled_from([1, 6, 10**120 + 7]))
+    return tuple(
+        Fraction(draw(numerators), shared * draw(denominators)) for _ in range(2)
+    )
+
+
+def _same_fraction(got, want):
+    return (
+        type(got) is Fraction
+        and (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        and hash(got) == hash(want)
+        and got == want
+    )
+
+
+@given(rational_pairs())
+@example((Fraction(1, 6), Fraction(1, 10)))  # gcd 2, sum already reduced
+@example((Fraction(1, 6), Fraction(1, 3)))  # gcd 3, sum 3/6 reduced to 1/2
+@example((Fraction(-7, 2), Fraction(7, 2)))  # sum 0 is 0/1
+@example((Fraction(0), Fraction(-(10**300), 3**500)))
+def test_rational_ops_match_fraction_operators(pair):
+    a, b = pair
+    assert _same_fraction(Q.mul(a, b), a + b)
+    assert _same_fraction(Q.inv(a), -a)
+    assert _same_fraction(Q.mul(a, Q.inv(a)), Q.identity)
+    assert Q.cmp(a, b) == (a > b) - (a < b)
+    assert not Q.contains(1) and Q.contains(a)
 
 
 def test_rational_constants_are_shared_and_unchanged():

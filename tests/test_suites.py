@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from bicext import suites
+from bicext import certificates, suites
 from bicext.natorder import SolutionKind, SolutionSet
-from bicext.ogroups import GROUPS
+from bicext.ogroups import GROUPS, IntegerGroup
 from bicext.pairs import BElement
 from bicext.suites import SUITES, SuiteConfig, run_suites
 
@@ -271,3 +271,34 @@ def test_tuples_draw_as_randrange(n):
     rng, old = random.Random(n), random.Random(n)
     assert list(suites._draws(pool, 200, rng)) == [pool[old.randrange(n)] for _ in range(200)]
     assert rng.getstate() == old.getstate()
+
+
+class _SkippingIntegerGroup(IntegerGroup):
+    """Integer carrier whose successor skips a value: region points one
+    step off the diagonal then land below the ideal at the successor."""
+
+    name = "Zskip"
+
+    def successor(self, g):
+        return g + 2
+
+
+def test_escape_sweep_tests_the_landed_ideal_itself(monkeypatch):
+    # with the certificate's own ideal test answering yes, only the sweep's
+    # product test sees that [0|0] * [-2|-1] = [0|1] is not fixed by [2|2]
+    monkeypatch.setattr(certificates, "ideal_member", lambda *args, **kwargs: True)
+    status, cases, counter = _check("escape-region-sweep")(
+        suites._Ctx(_SkippingIntegerGroup(), 2, 0)
+    )
+    assert (status, cases) == ("fail", 1)
+    assert counter == "bad escape certificate for [-2|-1] at [0|0]"
+
+
+def test_natorder_compatibility_catches_a_product_breaking_the_order(broken_group):
+    # [1|2] <= [-3|-2] holds, but the tampered cmp misorders 2, so
+    # [3|2] * [1|2] = [2|2] is not below [3|2] * [-3|-2] = [3|3]
+    status, cases, counter = _check("natorder-compatibility")(
+        suites._Ctx(broken_group, 3, 0)
+    )
+    assert (status, cases) == ("fail", 1)
+    assert counter == "multiplication broke [1|2] below [-3|-2] via [3|2]"

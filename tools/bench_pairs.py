@@ -18,7 +18,10 @@ side's median and quartiles, the base side's IQR, the pairs the change
 won (ties count for neither side) and whether the gain rule holds: wins
 in at least nine tenths of the pairs and medians further apart than the
 base IQR.  It is rewritten after every pair, so an interrupted session
-keeps what it measured.  Standard library only.
+keeps what it measured.  ``all_correct`` per workload says whether every
+run, traced ones included, reported ``correct`` with no failed
+operation; a gain made by wrong outputs is no gain, so the script exits
+1 after the final save when any run did not.  Standard library only.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ def _bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int)
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited "
                          f"{done.returncode}:\n{done.stderr}")
     return json.loads(lines[-1])
+
+
+def _ok(result: dict) -> bool:
+    return result["correct"] is True and result["failed"] == 0
 
 
 def _spread(runs: list) -> dict:
@@ -129,12 +136,13 @@ def main(argv=None) -> int:
         for w in spec["workloads"]:
             name = w["name"]
             runs = {"base": [], "change": []}
-            row = record["workloads"][name] = {"runs": runs}
+            row = record["workloads"][name] = {"runs": runs, "all_correct": True}
             for i, seed in enumerate(seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
                     t0 = time.monotonic()
                     result = _bench(checkouts[side], name, seed, seconds, 0)
+                    row["all_correct"] = row["all_correct"] and _ok(result)
                     runs[side].append({"seed": seed, "wall_s": round(time.monotonic() - t0, 1),
                                        "correct": result["correct"], "failed": result["failed"],
                                        "attempted": result["attempted"],
@@ -152,10 +160,15 @@ def main(argv=None) -> int:
             traced = {}
             for side in ("base", "change"):
                 result = _bench(checkouts[side], name, seeds[0], seconds, 1)
+                row["all_correct"] = row["all_correct"] and _ok(result)
                 traced[side] = {k: result["metrics"][k]["value"] for k in counts
                                 if k in result["metrics"]}
             row["traced_counts"] = traced
             save()
+    wrong = [name for name, row in record["workloads"].items() if not row["all_correct"]]
+    if wrong:
+        print(f"bench_pairs: incorrect or failed runs on {', '.join(wrong)}", file=sys.stderr)
+        return 1
     return 0
 
 
