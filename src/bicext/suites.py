@@ -9,17 +9,20 @@ with a stable JSON form; only the wall-time fields vary between runs.
 The brute-force oracles memoize their pure products inside each check:
 the products of each known factor with the whole pool, kept until the
 last sample that reads them, and the pool's up-set above each distinct
-solver answer.  A product or order test shared by several samples is
-then computed once.  The memo lives in the check's locals and never
-outlives it or passes to another check, so verdicts, case counts and
+solver answer.  The memo lives in the check's locals, so verdicts and
 counterexamples are those of the per-sample scan, and a check's
 carrier-op cost does not depend on which checks ran before it.
 
-Most checks are ``_forall`` clauses: tuples, a predicate that must hold
-on each, and a message for a tuple where it fails.  ``_forall`` counts
-one case per tuple tried, across the clauses in order, up to and
-including the first counterexample; a tuple whose predicate raises a
-library error is that counterexample.  Seeded draws happen lazily, in turn.
+Checks are ``_forall`` clauses: tuples, a predicate that must hold on
+each, and a message for a tuple where it fails.  ``_forall`` counts one
+case per tuple tried, across the clauses in order, up to and including
+the first counterexample; a tuple whose predicate raises a library
+error is that counterexample.  Seeded draws happen lazily, in turn.  A
+solver or sandwich case is one sample, a shift case one shift or shift
+pair, a witness case one chain.  Four checks count their own cases:
+``noncommutative-witness`` stops at its first witness, ``bicyclic-presentation``
+counts relations and pool pairs, and ``cone-axioms`` and ``density-probe``
+each report one library verdict.
 """
 
 from __future__ import annotations
@@ -383,14 +386,11 @@ def c_density_witness(ctx: _Ctx) -> Outcome:
     g = ctx.group
     if not g.densely_ordered:
         return "not-applicable", 0, None
-    cases = 0
-    for a, b in _tuples(ctx.elements(), 2, 4000, ctx.rng("density")):
-        if g.lt(a, b):
-            cases += 1
-            m = g.between(a, b)
-            if not (g.lt(a, m) and g.lt(m, b)):
-                return "fail", cases, f"no midpoint between {g.render(a)} and {g.render(b)}"
-    return "pass", cases, None
+    return _forall((
+        (ab for ab in _tuples(ctx.elements(), 2, 4000, ctx.rng("density")) if g.lt(*ab)),
+        lambda a, b: g.lt(a, m := g.between(a, b)) and g.lt(m, b),
+        lambda a, b: f"no midpoint between {g.render(a)} and {g.render(b)}",
+    ))
 
 
 def c_noncommutative_witness(ctx: _Ctx) -> Outcome:
@@ -421,16 +421,16 @@ def c_pair_inverse_unique(ctx: _Ctx) -> Outcome:
     rng = ctx.rng("inverse-unique")
     probes = _subset(pool, 60, rng)
     candidates = _subset(pool, 800, rng)
-    cases = 0
-    for s in probes:
+
+    def fault(s):
         inv = s.inverse()
         if s * inv * s != s or inv * s * inv != inv:
-            return "fail", cases, f"inverse law broke at {s}"
+            return f"inverse law broke at {s}"
         for t in candidates:
-            cases += 1
             if t != inv and s * t * s == s and t * s * t == t:
-                return "fail", cases, f"second inverse {t} found for {s}"
-    return "pass", cases, None
+                return f"second inverse {t} found for {s}"
+
+    return _forall((zip(probes), lambda s: not fault(s), fault))
 
 
 def c_idempotents_commute(ctx: _Ctx) -> Outcome:
@@ -481,15 +481,22 @@ def c_no_identity(ctx: _Ctx) -> Outcome:
     wide = ctx.elements(ctx.window + 1)
     corners = [idempotent(g, wide[0]), idempotent(g, wide[-1])]
     probes = corners + ctx.pairs(margin=1)
-    cases = 0
-    for cand in candidates:
-        for probe in probes:
-            cases += 1
-            if cand * probe != probe or probe * cand != probe:
-                break
-        else:
-            return "fail", cases, f"{cand} fixed every probe (identity-like)"
-    return "pass", cases, None
+    last = len(probes) - 1
+
+    def tries():
+        # one case per probe tried, through the first the candidate moves
+        for cand in candidates:
+            for i, probe in enumerate(probes):
+                moved = cand * probe != probe or probe * cand != probe
+                yield cand, moved or i < last
+                if moved:
+                    break
+
+    return _forall((
+        tries(),
+        lambda cand, cleared: cleared,
+        lambda cand, cleared: f"{cand} fixed every probe (identity-like)",
+    ))
 
 
 # --- natural order checks -------------------------------------------------
@@ -613,20 +620,19 @@ def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
         return [(p.left, p.right) for p in map(operator.mul, *factors)]
 
     rows = _rows_once([known for _, known in samples], products)
-    cases = 0
-    for (target, known), row in zip(samples, rows):
+
+    def fault(sample, row):
+        target, known = sample
         sol = solve(target, known, bplus=bplus)
         key = (target.left, target.right)
         brute = [w for w, p in zip(pool, row) if p == key]
-        cases += len(pool)
         if not _solution_matches_window(sol, brute, pool_members, up_set):
             return (
-                "fail",
-                cases,
                 f"window solutions of target {target}, known {known} ({side}) "
-                f"do not match {sol.kind.value}",
+                f"do not match {sol.kind.value}"
             )
-    return "pass", cases, None
+
+    return _forall((zip(samples, rows), lambda *args: not fault(*args), fault))
 
 
 def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
@@ -642,25 +648,22 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
         [(a, c) for a, _, c, _ in quads],
         lambda ac: list(map(BElement(g, *ac).__mul__, pool)),
     )
-    cases = 0
-    for (a, b, c, d), lefts in zip(quads, lefts_of):
-        target = BElement(g, a, b)
-        leftk = BElement(g, a, c)
-        rightk = BElement(g, d, b)
+
+    def fault(quad, lefts):
+        a, b, c, d = quad
+        target, leftk, rightk = BElement(g, a, b), BElement(g, a, c), BElement(g, d, b)
         sol = solve_sandwich(target, leftk, rightk, bplus=bplus)
         # as in the solver checks, pairs are compared by coordinates
         brute = [
             w for w, lw in zip(pool, lefts) if (p := lw * rightk).right == b and p.left == a
         ]
-        cases += len(pool)
         if not _solution_matches_window(sol, brute, pool_members, up_set):
             return (
-                "fail",
-                cases,
                 f"sandwich solutions for target {target} via {leftk}, {rightk} "
-                f"do not match the up-set of {sol.element}",
+                f"do not match the up-set of {sol.element}"
             )
-    return "pass", cases, None
+
+    return _forall((zip(quads, lefts_of), lambda *args: not fault(*args), fault))
 
 
 # --- ideal checks -----------------------------------------------------------
@@ -713,15 +716,12 @@ def c_pointwise_composition(ctx: _Ctx) -> Outcome:
     anchors = ctx.elements()
     w = ctx.window
     points = _subset(ctx.elements((-w, 2 * w)), 15, rng)
-    shift_pairs = _tuples(
-        [PartialShift(g, a, b) for a, b in _tuples(anchors, 2, 60, rng)], 2, 500, rng
-    )
-    cases = 0
-    for m1, m2 in shift_pairs:
-        cases += len(points)
-        if not compose_pointwise_oracle(m1, m2, points):
-            return "fail", cases, f"pointwise composition broke for {m1} then {m2}"
-    return "pass", cases, None
+    shifts = [PartialShift(g, a, b) for a, b in _tuples(anchors, 2, 60, rng)]
+    return _forall((
+        _tuples(shifts, 2, 500, rng),
+        lambda m1, m2: compose_pointwise_oracle(m1, m2, points),
+        lambda m1, m2: f"pointwise composition broke for {m1} then {m2}",
+    ))
 
 
 def c_shift_bijectivity(ctx: _Ctx) -> Outcome:
@@ -729,24 +729,24 @@ def c_shift_bijectivity(ctx: _Ctx) -> Outcome:
     rng = ctx.rng("bijectivity")
     w = ctx.window
     points = _subset(ctx.elements((-w, 2 * w)), 64, ctx.rng("bijectivity-points"))
-    cases = 0
-    for a, b in _tuples(ctx.elements(), 2, 200, rng):
+
+    def fault(a, b):
         shift = PartialShift(g, a, b)
         back = shift.inverse()
         seen = set()
         for x in points:
             if not shift.in_domain(x):
                 continue
-            cases += 1
             y = shift.apply(x)
             if y in seen:
-                return "fail", cases, f"{shift} is not injective at {g.render(x)}"
+                return f"{shift} is not injective at {g.render(x)}"
             seen.add(y)
             if not g.leq(b, y):
-                return "fail", cases, f"{shift} left its codomain cone at {g.render(x)}"
+                return f"{shift} left its codomain cone at {g.render(x)}"
             if back.apply(y) != x:
-                return "fail", cases, f"{shift} does not invert at {g.render(x)}"
-    return "pass", cases, None
+                return f"{shift} does not invert at {g.render(x)}"
+
+    return _forall((_tuples(ctx.elements(), 2, 200, rng), lambda a, b: not fault(a, b), fault))
 
 
 # --- certificate checks ------------------------------------------------------
@@ -760,19 +760,19 @@ def c_witness_chains(ctx: _Ctx) -> Outcome:
     coords = ctx.pool_elements()
     candidates = ctx.pairs()
     count = max(4, min(25, BUDGET // max(1, 2 * len(candidates))))
-    cases = 0
-    for _ in range(count):
-        seed = BElement(g, rng.choice(coords), rng.choice(coords))
-        target = BElement(g, rng.choice(coords), rng.choice(coords))
+
+    def fault(a, b, c, d):
+        seed, target = BElement(g, a, b), BElement(g, c, d)
         chain = build_witness_chain(seed, target)  # verified eagerly inside
         first = [t for t in candidates if t * chain.right_translator == seed]
         if first != [chain.intermediate]:
-            return "fail", cases, f"step one of {seed} -> {target} is not unique in the window"
+            return f"step one of {seed} -> {target} is not unique in the window"
         second = [t for t in candidates if chain.left_translator * t == chain.intermediate]
         if second != [target]:
-            return "fail", cases, f"step two of {seed} -> {target} is not unique in the window"
-        cases += 2 * len(candidates)
-    return "pass", cases, None
+            return f"step two of {seed} -> {target} is not unique in the window"
+
+    draws = (tuple(rng.choice(coords) for _ in range(4)) for _ in range(count))
+    return _forall((draws, lambda *abcd: not fault(*abcd), fault))
 
 
 def c_density_probe(ctx: _Ctx) -> Outcome:
@@ -908,8 +908,8 @@ def run_suites(cfg: SuiteConfig) -> SuiteReport:
     mutate shared state, so the order of execution cannot change any
     verdict.  A library error or a checked constructor's ``ValueError``
     raised in a check is recorded as a failure carrying the message; the
-    case count runs through the raising tuple in ``_forall`` checks and is
-    0 in the others.
+    case count runs through the raising tuple, and is 0 for an error raised
+    while the tuples are built or in one of the four checks off ``_forall``.
     """
     group = cfg.resolve_group()
     ctx = _Ctx(group, cfg.window, cfg.sample_seed)
