@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from bicext import certificates, suites
 from bicext.natorder import SolutionKind, SolutionSet
 from bicext.ogroups import GROUPS, IntegerGroup
-from bicext.pairs import BElement
+from bicext.pairs import BElement, idempotent
 from bicext.suites import SUITES, SuiteConfig, run_suites
 
 Z = GROUPS["Z"]
@@ -353,3 +354,52 @@ def test_natorder_compatibility_catches_a_product_breaking_the_order(broken_grou
     )
     assert (status, cases) == ("fail", 1)
     assert counter == "multiplication broke [1|2] below [-3|-2] via [3|2]"
+
+
+class _Unit:
+    """A stand-in candidate that fixes every pair on both sides."""
+
+    def __mul__(self, other):
+        return other
+
+    __rmul__ = __mul__
+
+    def __str__(self):
+        return "unit"
+
+
+class _UnitCtx(suites._Ctx):
+    """Puts a unit second among the no-identity candidates."""
+
+    def pairs(self, bplus=False, margin=0):
+        pool = super().pairs(bplus, margin)
+        return pool if margin else pool[:1] + [_Unit()] + pool[1:]
+
+
+def test_no_identity_counts_every_probe_a_unit_fixes():
+    # one case per probe tried: the first candidate moves the first corner,
+    # and the unit then fixes both corners and all 49 probe pairs
+    status, cases, counter = _check("no-identity")(_UnitCtx(Z, 2, 0))
+    assert (status, cases) == ("fail", 1 + 2 + 49)
+    assert counter == "unit fixed every probe (identity-like)"
+
+
+@pytest.mark.parametrize(
+    "field, cases, counter",
+    [
+        ("right_translator", 1, "step one of [1|1] -> [1|2] is not unique in the window"),
+        ("left_translator", 2, "step two of [-2|0] -> [1|1] is not unique in the window"),
+    ],
+)
+def test_witness_chains_test_each_step_in_the_window(monkeypatch, field, cases, counter):
+    # a translator swapped for the window's lowest idempotent fixes a whole
+    # up-set, so the step's window solutions are no longer the chain's own;
+    # the first chain's target is its intermediate, so step two passes there
+    real = suites.build_witness_chain
+    bottom = idempotent(Z, -2)
+    monkeypatch.setattr(
+        suites,
+        "build_witness_chain",
+        lambda seed, target: dataclasses.replace(real(seed, target), **{field: bottom}),
+    )
+    assert _check("witness-chains")(suites._Ctx(Z, 2, 0)) == ("fail", cases, counter)
