@@ -282,14 +282,8 @@ def _cmd_check(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one shared ``bicext`` parser, built on the first call.
-
-    Every later call returns the same object, so callers must not mutate
-    it.  Reuse is safe because ``parse_args`` returns a fresh namespace,
-    no action has a mutable default, and argparse looks up
-    ``sys.stdout``/``sys.stderr`` when it prints, not when it is built.
-    """
+def _parsers() -> tuple:
+    """The top-level parser and its command table, built once; see build_parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", default="Z", choices=sorted(GROUPS))
     common.add_argument("--output", default="text", choices=["text", "json"])
@@ -356,7 +350,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suites", default="all")
     p.set_defaults(fn=_cmd_check)
 
-    return parser
+    # the name-to-parser mapping add_subparsers fills, captured here so
+    # main can look a command up without argparse's private attributes
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one shared ``bicext`` parser, built on the first call.
+
+    Every later call returns the same object, so callers must not mutate
+    it.  Reuse is safe because ``parse_args`` returns a fresh namespace,
+    no action has a mutable default, and argparse looks up
+    ``sys.stdout``/``sys.stderr`` when it prints, not when it is built.
+    The command parsers are built with it, once, and ``main`` hands a
+    command line whose first string names a command straight to that
+    command's parser; the top-level parser then answers only help and
+    usage errors.
+    """
+    return _parsers()[0]
+
+
+def _parse_command_line(argv: list) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass, apart from
+    the namespace's ``command``, which nothing reads.
+
+    When ``argv[0]`` names a command, the top-level pass would hand its
+    parser exactly ``argv[1:]``: that parser's positional consumes every
+    later string, ``--`` included and unstripped.  So this parses
+    ``argv[1:]`` with the command's parser directly and reports leftover
+    strings with the top-level parser's message, as ``parse_args`` does.
+    Any other first string (none, ``-h``, an unknown name, an option before
+    the command) goes through the top-level parser, which only ever prints
+    help or a usage error for it.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _exceeds_digit_limit(exc: ValueError) -> bool:
@@ -371,8 +405,7 @@ def _exceeds_digit_limit(exc: ValueError) -> bool:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_command_line(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except ParseError as exc:
