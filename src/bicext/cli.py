@@ -6,6 +6,12 @@ suite or composition check fails, 2 for usage errors (bad flags, bad
 literals, operations invoked outside their stated domain) and for results
 too long to render.  JSON output is schema-stable and sorted; text output
 is for reading.
+
+A command line is parsed in one argparse pass: its first string selects
+the command's parser directly, and the top-level parser answers only help
+and usage errors (no command, ``-h``, an unknown name, an option before
+the command).  All parsers are built once, on the first ``main`` call, and
+shared by every later call; see ``build_parser`` for why that is safe.
 """
 
 from __future__ import annotations

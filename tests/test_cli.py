@@ -3,12 +3,14 @@ import contextlib
 import io
 import json
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicext.cli import main
+from bicext.cli import _parse_command_line, build_parser, main
 from bicext.ogroups import GROUPS
 from bicext.suites import SUITES
 
@@ -284,6 +286,45 @@ def test_shared_parser_keeps_no_state(capsys):
     assert run(capsys, "mul", "[1|2]", "[3|4]") == first
 
 
+def test_each_command_line_is_parsed_once(monkeypatch, capsys):
+    # counts argparse passes, not time: the command's parser alone parses
+    # a command line that starts with its name
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(["mul", "[1|2]", "[3|4]"]) == 0
+    assert passes == ["bicext mul"]
+    assert main(["leq", "--s", "[3|5]", "--t", "[1|3]"]) == 0
+    assert passes == ["bicext mul", "bicext leq"]
+    with pytest.raises(SystemExit) as exc:
+        main(["mul", "--group", "Nope", "[1|1]", "[1|1]"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_console_script_reads_sys_argv(monkeypatch, capsys):
+    # the installed `bicext` script calls main() with no argument
+    scripts = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert scripts["project"]["scripts"] == {"bicext": "bicext.cli:main"}
+    expected = run(capsys, "mul", "[1|2]", "[3|4]")
+    monkeypatch.setattr(sys, "argv", ["bicext", "mul", "[1|2]", "[3|4]"])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected == (0, "[2|4]\n", "")
+    monkeypatch.setattr(sys, "argv", ["bicext"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith(build_parser().format_usage())
+    assert err.endswith("bicext: error: the following arguments are required: command\n")
+
+
 _NOISE = st.text("[]|(),/-+ 0123456789x", max_size=10)
 _PAYLOAD = st.one_of(
     st.integers(-10**6, 10**6).map(str),
@@ -355,6 +396,55 @@ def _literal_argv(draw):
 @example(["solve", "--group", "Q", "--target=[1/0|1]", "--known=[1|1]"])
 def test_exit_code_contract_on_random_literals(argv):
     _assert_exit_code_contract(argv)
+
+
+def _parse_outcome(parse, argv):
+    """What parsing ``argv`` gives: the namespace without ``command``, or the
+    exit code; with what it printed either way."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parse(list(argv)))
+        except SystemExit as exc:
+            parsed = exc.code
+    if isinstance(parsed, dict):
+        parsed.pop("command", None)
+    return parsed, out.getvalue(), err.getvalue()
+
+
+# argparse behaviours the one-pass parse relies on: help and usage errors
+# from the top-level parser, option abbreviations, `--` handed on
+# unstripped, leftover strings and bad choices reported as before
+_PARSER_EDGES = [
+    [], ["-h"], ["--help"], ["--"], ["nope"], ["MUL", "[1|2]", "[3|4]"], ["-x", "mul"],
+    ["--group", "Z", "mul", "[1|2]", "[3|4]"], ["--", "mul", "[1|2]", "[3|4]"],
+    ["mul"], ["mul", "-h"], ["mul", "--he"], ["mul", "--help=foo"], ["mul", "-h", "extra"],
+    ["mul", "[1|2]", "--", "[3|4]"], ["mul", "--", "--", "[1|2]"], ["mul", "[1|2]", "[3|4]", "extra"],
+    ["mul", "[1|2]", "[3|4]", "--x", "1", "-y"], ["mul", "--group", "Nope", "[1|1]", "[1|1]"],
+    ["mul", "--gr", "ZxZ", "[(0,0)|(0,1)]", "[(1,0)|(2,3)]"], ["mul", "--output", "xml", "[1|2]", "[3|4]"],
+    ["mul", "[1|2]", "[3|4]", "--window=abc"], ["inv", "[3|5]", "--output", "json"],
+    ["upset", "--window"], ["upset", "--base", "[2|3]", "--window", "2", "--", "x"],
+    ["leq", "--s=[3|5]", "--t", "[1|3]"], ["leq", "--s=[3|5]"],
+    ["leq", "--s", "[3|5]", "--t", "[1|3]", "--s", "[1|1]"], ["pmap", "bogus"],
+    ["pmap", "apply", "--g", "2", "--h", "5", "--x", "3"], ["solve", "--side", "up", "--target", "[1|2]"],
+    ["check", "--suites", "ideals", "--sample-seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_EDGES, ids=" ".join)
+def test_one_pass_parse_matches_parse_args(argv):
+    _assert_parse_parity(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_literal_argv())
+def test_one_pass_parse_matches_parse_args_on_random_literals(argv):
+    _assert_parse_parity(argv)
+
+
+def _assert_parse_parity(argv):
+    expected = _parse_outcome(build_parser().parse_args, argv)
+    assert _parse_outcome(_parse_command_line, argv) == expected
 
 
 def _assert_exit_code_contract(argv):
