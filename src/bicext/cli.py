@@ -46,11 +46,15 @@ from .suites import SuiteConfig, run_suites
 WINDOW_BUDGET = 10_000
 
 
-def _emit(payload: dict, output: str, text: str):
-    if output == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(text)
+# one encoder for every JSON answer; json.dumps would build one per call
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def _emit(output: str, payload, text):
+    """Print the answer in the ``output`` form: ``payload`` and ``text`` are
+    callables building the JSON object and the text, and only the one
+    printed is called."""
+    print(_JSON.encode(payload()) if output == "json" else text())
 
 
 def _refuse_window(command: str, window: int, work: str) -> int:
@@ -75,7 +79,7 @@ def _cmd_mul(args) -> int:
     s = parse_pair(args.elements[0], group)
     t = parse_pair(args.elements[1], group)
     result = s * t
-    _emit({"element": pair_to_json(result)}, args.output, str(result))
+    _emit(args.output, lambda: {"element": pair_to_json(result)}, result.__str__)
     return 0
 
 
@@ -83,7 +87,7 @@ def _cmd_inv(args) -> int:
     group = GROUPS[args.group]
     s = parse_pair(args.element, group)
     result = s.inverse()
-    _emit({"element": pair_to_json(result)}, args.output, str(result))
+    _emit(args.output, lambda: {"element": pair_to_json(result)}, result.__str__)
     return 0
 
 
@@ -94,9 +98,9 @@ def _cmd_leq(args) -> int:
     verdict = nat_leq(s, t)
     oracle = nat_leq_oracle(s, t)
     _emit(
-        {"leq": verdict, "oracle": oracle},
         args.output,
-        f"{s} below {t}: {verdict} (oracle agrees: {oracle == verdict})",
+        lambda: {"leq": verdict, "oracle": oracle},
+        lambda: f"{s} below {t}: {verdict} (oracle agrees: {oracle == verdict})",
     )
     return 0
 
@@ -118,10 +122,11 @@ def _cmd_solve(args) -> int:
         known = parse_pair(args.known, group)
         solver = solve_right if args.side == "right" else solve_left
         sol = solver(target, known, bplus=args.bplus)
-    text = sol.kind.value
-    if sol.element is not None:
-        text += f" {sol.element}"
-    _emit(sol.to_json(), args.output, text)
+    _emit(
+        args.output,
+        sol.to_json,
+        lambda: sol.kind.value if sol.element is None else f"{sol.kind.value} {sol.element}",
+    )
     return 0
 
 
@@ -131,9 +136,9 @@ def _cmd_ideal(args) -> int:
     anchor = parse_payload(args.anchor, group)
     member = ideal_member(s, anchor, args.side, bplus=args.bplus)
     _emit(
-        {"member": member},
         args.output,
-        f"{s} in the {args.side} ideal of [{group.render(anchor)}|{group.render(anchor)}]: {member}",
+        lambda: {"member": member},
+        lambda: f"{s} in the {args.side} ideal of [{group.render(anchor)}|{group.render(anchor)}]: {member}",
     )
     return 0
 
@@ -146,12 +151,15 @@ def _cmd_upset(args) -> int:
     if group.enumerable and elems > WINDOW_BUDGET:
         return _refuse_window("upset", args.window, f"walk {elems} window elements")
     members = up_set_window(base, args.window, bplus=args.bplus)
-    payload = {
-        "base": pair_to_json(base),
-        "window": [-args.window, args.window],
-        "members": [pair_to_json(m) for m in members],
-    }
-    _emit(payload, args.output, "\n".join(str(m) for m in members) or "(empty)")
+    _emit(
+        args.output,
+        lambda: {
+            "base": pair_to_json(base),
+            "window": [-args.window, args.window],
+            "members": [pair_to_json(m) for m in members],
+        },
+        lambda: "\n".join(str(m) for m in members) or "(empty)",
+    )
     return 0
 
 
@@ -167,7 +175,7 @@ def _cmd_pmap(args) -> int:
             parse_payload(args.h, group),
         )
         value = shift.apply(parse_payload(args.x, group))
-        _emit({"value": group.render(value)}, args.output, group.render(value))
+        _emit(args.output, lambda: {"value": group.render(value)}, lambda: group.render(value))
         return 0
     # check-compose: every anchor-pair combination over the window,
     # evaluated pointwise on window sample points.  A window holds at least
@@ -188,15 +196,15 @@ def _cmd_pmap(args) -> int:
             checked += 1
             if not compose_pointwise_oracle(m1, m2, points):
                 _emit(
-                    {"ok": False, "pairs": checked, "points": len(points)},
                     args.output,
-                    f"FAIL: composition of {m1} then {m2} disagrees pointwise",
+                    lambda: {"ok": False, "pairs": checked, "points": len(points)},
+                    lambda: f"FAIL: composition of {m1} then {m2} disagrees pointwise",
                 )
                 return 1
     _emit(
-        {"ok": True, "pairs": checked, "points": len(points)},
         args.output,
-        f"ok: {checked} composite pairs agree on {len(points)} sample points",
+        lambda: {"ok": True, "pairs": checked, "points": len(points)},
+        lambda: f"ok: {checked} composite pairs agree on {len(points)} sample points",
     )
     return 0
 
@@ -206,21 +214,23 @@ def _cmd_witness(args) -> int:
     seed = parse_pair(args.seed, group)
     target = parse_pair(args.target, group)
     chain = build_witness_chain(seed, target)
-    payload = {
-        "seed": pair_to_json(chain.seed),
-        "target": pair_to_json(chain.target),
-        "right_translator": pair_to_json(chain.right_translator),
-        "intermediate": pair_to_json(chain.intermediate),
-        "left_translator": pair_to_json(chain.left_translator),
-    }
-    text = (
-        f"seed {chain.seed} -> target {chain.target}\n"
-        f"  step one: {chain.intermediate} * {chain.right_translator} = {chain.seed}"
-        f" (unique)\n"
-        f"  step two: {chain.left_translator} * {chain.target} = {chain.intermediate}"
-        f" (unique)"
+    _emit(
+        args.output,
+        lambda: {
+            "seed": pair_to_json(chain.seed),
+            "target": pair_to_json(chain.target),
+            "right_translator": pair_to_json(chain.right_translator),
+            "intermediate": pair_to_json(chain.intermediate),
+            "left_translator": pair_to_json(chain.left_translator),
+        },
+        lambda: (
+            f"seed {chain.seed} -> target {chain.target}\n"
+            f"  step one: {chain.intermediate} * {chain.right_translator} = {chain.seed}"
+            f" (unique)\n"
+            f"  step two: {chain.left_translator} * {chain.target} = {chain.intermediate}"
+            f" (unique)"
+        ),
     )
-    _emit(payload, args.output, text)
     return 0
 
 
@@ -233,15 +243,14 @@ def _cmd_escape(args) -> int:
         return _refuse_window("escape", args.window, f"cover {pairs} window pairs")
     if group.densely_ordered:
         verdict = density_probe(group, group.window(args.window))
-        payload = {
-            "not_applicable": True,
-            "reason": "densely ordered carrier",
-            "density_witnesses": len(verdict.witnesses),
-        }
         _emit(
-            payload,
             args.output,
-            "not applicable: the order is dense "
+            lambda: {
+                "not_applicable": True,
+                "reason": "densely ordered carrier",
+                "density_witnesses": len(verdict.witnesses),
+            },
+            lambda: "not applicable: the order is dense "
             f"({len(verdict.witnesses)} strictly-smaller-positive witnesses found)",
         )
         return 0
@@ -249,25 +258,27 @@ def _cmd_escape(args) -> int:
         escape_certificate(idem, BElement(group, x, y))
         for x, y in escape_region(group, anchor, args.window)
     ]
-    payload = {
-        "not_applicable": False,
-        "anchor": group.render(anchor),
-        "points": len(certs),
-        "certificates": [
-            {
-                "point": pair_to_json(c.point),
-                "side": c.side,
-                "product": pair_to_json(c.product),
-                "excluded_region": c.excluded_region.value,
-            }
+    _emit(
+        args.output,
+        lambda: {
+            "not_applicable": False,
+            "anchor": group.render(anchor),
+            "points": len(certs),
+            "certificates": [
+                {
+                    "point": pair_to_json(c.point),
+                    "side": c.side,
+                    "product": pair_to_json(c.product),
+                    "excluded_region": c.excluded_region.value,
+                }
+                for c in certs
+            ],
+        },
+        lambda: "\n".join(
+            f"{c.point} --{c.side}--> {c.product} in {c.excluded_region.value}"
             for c in certs
-        ],
-    }
-    lines = [
-        f"{c.point} --{c.side}--> {c.product} in {c.excluded_region.value}"
-        for c in certs
-    ]
-    _emit(payload, args.output, "\n".join(lines) or "(no region points in window)")
+        ) or "(no region points in window)",
+    )
     return 0
 
 
@@ -283,82 +294,189 @@ def _cmd_check(args) -> int:
         suites=suites,
     )
     report = run_suites(cfg)
-    _emit(report.to_json(), args.output, report.to_text())
+    _emit(args.output, report.to_json, report.to_text)
     return 0 if report.ok else 1
+
+
+def _exact_table(command: argparse.ArgumentParser, actions: list) -> tuple:
+    """What ``_parse_exact`` needs to know of ``command``, read from public
+    attributes of the ``Action`` objects ``add_argument`` returned: the
+    action of each option string, the positional (a command has at most
+    one) and how many strings it takes, the required options, and the
+    namespace of a line that gives no option, with string defaults
+    converted as argparse converts them."""
+    options = {s: a for a in actions for s in a.option_strings}
+    positionals = [a for a in actions if not a.option_strings]
+    positional = positionals[0] if positionals else None
+    count = 0 if positional is None else 1 if positional.nargs is None else positional.nargs
+    if len(positionals) > 1 or not isinstance(count, int) or any(
+        a.nargs not in (None, 0) for a in options.values()
+    ):
+        raise TypeError(f"{command.prog}: an argument the exact-token parse cannot read")
+    required = [a for a in options.values() if a.required]
+    defaults = {
+        a.dest: a.type(a.default) if isinstance(a.default, str) and a.type else a.default
+        for a in actions
+    }
+    defaults["fn"] = command.get_default("fn")  # the one set_defaults key
+    return options, positional, count, required, defaults
+
+
+def _exact_value(action: argparse.Action, text: str):
+    """``text`` converted and checked as argparse converts and checks it;
+    None where argparse would refuse it (no value read here is None)."""
+    try:
+        value = text if action.type is None else action.type(text)
+    except (TypeError, ValueError):
+        return None
+    return value if action.choices is None or value in action.choices else None
+
+
+def _parse_exact(table: tuple, strings: list) -> Optional[argparse.Namespace]:
+    """The namespace of a command's ``strings`` when they are exact tokens;
+    None for any other line, which argparse then answers.
+
+    Exact tokens: every string is an exact option string followed by a
+    value that does not start with ``-`` (or a flag), or a positional that
+    does not start with ``-``; the positionals form one contiguous run of
+    the right count; every value converts and is among its choices; and
+    every required option is present.  argparse reads such a line the same
+    way, the last repeat of an option winning.
+    """
+    options, positional, count, required, defaults = table
+    values = dict(defaults)
+    seen = set()
+    run = []  # indices of the positional strings
+    i = 0
+    while i < len(strings):
+        text = strings[i]
+        if not text.startswith("-"):
+            run.append(i)
+            i += 1
+            continue
+        action = options.get(text)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            i += 1
+        else:
+            if i + 1 == len(strings) or strings[i + 1].startswith("-"):
+                return None
+            value = _exact_value(action, strings[i + 1])
+            if value is None:
+                return None
+            values[action.dest] = value
+            i += 2
+        seen.add(action)
+    if len(run) != count or run and run[-1] - run[0] != count - 1:
+        return None
+    if positional is not None:
+        given = [_exact_value(positional, strings[j]) for j in run]
+        if None in given:
+            return None
+        values[positional.dest] = given[0] if positional.nargs is None else given
+    if any(a not in seen for a in required):
+        return None
+    return argparse.Namespace(**values)
 
 
 @functools.cache
 def _parsers() -> tuple:
-    """The top-level parser and its command table, built once; see build_parser."""
+    """The top-level parser, its command table and, per command, the
+    exact-token table of ``_exact_table``, built once; see build_parser."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", default="Z", choices=sorted(GROUPS))
-    common.add_argument("--output", default="text", choices=["text", "json"])
-    common.add_argument("--window", type=int, default=4)
-    common.add_argument("--sample-seed", type=int, default=0, dest="sample_seed")
+    shared = [
+        common.add_argument("--group", default="Z", choices=sorted(GROUPS)),
+        common.add_argument("--output", default="text", choices=["text", "json"]),
+        common.add_argument("--window", type=int, default=4),
+        common.add_argument("--sample-seed", type=int, default=0, dest="sample_seed"),
+    ]
 
     parser = argparse.ArgumentParser(
         prog="bicext",
         description="Exact pair semigroups over linearly ordered groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = {}
 
     p = sub.add_parser("mul", parents=[common], help="multiply two pairs")
-    p.add_argument("elements", nargs=2, metavar="PAIR")
     p.set_defaults(fn=_cmd_mul)
+    tables["mul"] = _exact_table(p, shared + [
+        p.add_argument("elements", nargs=2, metavar="PAIR"),
+    ])
 
     p = sub.add_parser("inv", parents=[common], help="invert a pair")
-    p.add_argument("element", metavar="PAIR")
     p.set_defaults(fn=_cmd_inv)
+    tables["inv"] = _exact_table(p, shared + [
+        p.add_argument("element", metavar="PAIR"),
+    ])
 
     p = sub.add_parser("leq", parents=[common], help="natural partial order test")
-    p.add_argument("--s", required=True)
-    p.add_argument("--t", required=True)
     p.set_defaults(fn=_cmd_leq)
+    tables["leq"] = _exact_table(p, shared + [
+        p.add_argument("--s", required=True),
+        p.add_argument("--t", required=True),
+    ])
 
     p = sub.add_parser("solve", parents=[common], help="solve a one-unknown equation")
-    p.add_argument("--target", required=True)
-    p.add_argument("--known")
-    p.add_argument("--side", default="right", choices=["left", "right", "sandwich"])
-    p.add_argument("--leftk")
-    p.add_argument("--rightk")
-    p.add_argument("--bplus", action="store_true")
     p.set_defaults(fn=_cmd_solve)
+    tables["solve"] = _exact_table(p, shared + [
+        p.add_argument("--target", required=True),
+        p.add_argument("--known"),
+        p.add_argument("--side", default="right", choices=["left", "right", "sandwich"]),
+        p.add_argument("--leftk"),
+        p.add_argument("--rightk"),
+        p.add_argument("--bplus", action="store_true"),
+    ])
 
     p = sub.add_parser("ideal", parents=[common], help="principal ideal membership")
-    p.add_argument("--element", required=True)
-    p.add_argument("--anchor", required=True)
-    p.add_argument("--side", default="right", choices=["left", "right"])
-    p.add_argument("--bplus", action="store_true")
     p.set_defaults(fn=_cmd_ideal)
+    tables["ideal"] = _exact_table(p, shared + [
+        p.add_argument("--element", required=True),
+        p.add_argument("--anchor", required=True),
+        p.add_argument("--side", default="right", choices=["left", "right"]),
+        p.add_argument("--bplus", action="store_true"),
+    ])
 
     p = sub.add_parser("upset", parents=[common], help="window view of an up-set")
-    p.add_argument("--base", required=True)
-    p.add_argument("--bplus", action="store_true")
     p.set_defaults(fn=_cmd_upset)
+    tables["upset"] = _exact_table(p, shared + [
+        p.add_argument("--base", required=True),
+        p.add_argument("--bplus", action="store_true"),
+    ])
 
     p = sub.add_parser("pmap", parents=[common], help="partial shift operations")
-    p.add_argument("action", choices=["apply", "check-compose"])
-    p.add_argument("--g", help="domain anchor literal")
-    p.add_argument("--h", help="codomain anchor literal")
-    p.add_argument("--x", help="evaluation point literal")
     p.set_defaults(fn=_cmd_pmap)
+    tables["pmap"] = _exact_table(p, shared + [
+        p.add_argument("action", choices=["apply", "check-compose"]),
+        p.add_argument("--g", help="domain anchor literal"),
+        p.add_argument("--h", help="codomain anchor literal"),
+        p.add_argument("--x", help="evaluation point literal"),
+    ])
 
     p = sub.add_parser("witness", parents=[common], help="build an isolation chain")
-    p.add_argument("--seed", required=True)
-    p.add_argument("--target", required=True)
     p.set_defaults(fn=_cmd_witness)
+    tables["witness"] = _exact_table(p, shared + [
+        p.add_argument("--seed", required=True),
+        p.add_argument("--target", required=True),
+    ])
 
     p = sub.add_parser("escape", parents=[common], help="escape certificates for a region")
-    p.add_argument("--a", required=True, help="idempotent anchor literal")
     p.set_defaults(fn=_cmd_escape)
+    tables["escape"] = _exact_table(p, shared + [
+        p.add_argument("--a", required=True, help="idempotent anchor literal"),
+    ])
 
     p = sub.add_parser("check", parents=[common], help="run the property suites")
-    p.add_argument("--suites", default="all")
     p.set_defaults(fn=_cmd_check)
+    tables["check"] = _exact_table(p, shared + [
+        p.add_argument("--suites", default="all"),
+    ])
 
     # the name-to-parser mapping add_subparsers fills, captured here so
     # main can look a command up without argparse's private attributes
-    return parser, sub.choices
+    return parser, sub.choices, tables
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,31 +486,38 @@ def build_parser() -> argparse.ArgumentParser:
     it.  Reuse is safe because ``parse_args`` returns a fresh namespace,
     no action has a mutable default, and argparse looks up
     ``sys.stdout``/``sys.stderr`` when it prints, not when it is built.
-    The command parsers are built with it, once, and ``main`` hands a
-    command line whose first string names a command straight to that
-    command's parser; the top-level parser then answers only help and
+    The command parsers are built with it, once, together with one
+    exact-token table per command.  ``main`` parses a command line whose
+    first string names a command with that table when every later string
+    is an exact token (see ``_parse_exact``), and otherwise with that
+    command's parser alone; the top-level parser answers only help and
     usage errors.
     """
     return _parsers()[0]
 
 
 def _parse_command_line(argv: list) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one argparse pass, apart from
-    the namespace's ``command``, which nothing reads.
+    """``build_parser().parse_args(argv)``, apart from the namespace's
+    ``command``, which nothing reads.
 
-    When ``argv[0]`` names a command, the top-level pass would hand its
-    parser exactly ``argv[1:]``: that parser's positional consumes every
-    later string, ``--`` included and unstripped.  So this parses
-    ``argv[1:]`` with the command's parser directly and reports leftover
-    strings with the top-level parser's message, as ``parse_args`` does.
-    Any other first string (none, ``-h``, an unknown name, an option before
-    the command) goes through the top-level parser, which only ever prints
-    help or a usage error for it.
+    When ``argv[0]`` names a command and every later string is an exact
+    token, the command's table builds the namespace with no argparse pass.
+    Any other line after a command name takes one pass: the top-level pass
+    would hand the command's parser exactly ``argv[1:]`` (its positional
+    consumes every later string, ``--`` included and unstripped), so this
+    parses ``argv[1:]`` with that parser and reports leftover strings with
+    the top-level parser's message, as ``parse_args`` does.  Any other
+    first string (none, ``-h``, an unknown name, an option before the
+    command) goes through the top-level parser, which only ever prints help
+    or a usage error for it.
     """
-    parser, commands = _parsers()
+    parser, commands, tables = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _parse_exact(tables[argv[0]], argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -419,9 +544,9 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except NotApplicable as exc:
         _emit(
-            {"not_applicable": True, "reason": str(exc)},
             args.output,
-            f"not applicable: {exc}",
+            lambda: {"not_applicable": True, "reason": str(exc)},
+            lambda: f"not applicable: {exc}",
         )
         return 0
     except BicextError as exc:
@@ -434,7 +559,7 @@ def main(argv: Optional[list] = None) -> int:
         limit = sys.get_int_max_str_digits()
         reason = f"the result holds an integer longer than {limit} digits, which cannot be rendered"
         if args.output == "json":
-            _emit({"result_error": reason, "digit_limit": limit}, args.output, "")
+            print(_JSON.encode({"result_error": reason, "digit_limit": limit}))
         else:
             print(f"result error: {reason}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ offending character in the original string.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -91,8 +92,50 @@ def parse_payload(text: str, group: OrderedGroup, offset: int = 0) -> Element:
     return _parse_int_tuple(body, at, group.payload_arity)
 
 
-def parse_pair(text: str, group: OrderedGroup, offset: int = 0) -> BElement:
-    """Parse a bracketed pair literal like ``[3|5]``."""
+@functools.cache
+def _pair_pattern(kind: str, arity: int) -> re.Pattern:
+    r"""A whole pair literal of one payload kind, compiled on first use from
+    the ``_INT``/``_FRACTION`` token patterns, with ``\s*`` wherever the
+    step parser strips (``\s`` is exactly ``str.strip``'s whitespace)."""
+    if kind == "integer":
+        payload = rf"\s*({_INT.pattern})\s*"
+    elif kind == "fraction":
+        payload = rf"\s*{_FRACTION.pattern}\s*"
+    else:
+        coordinate = rf"\s*({_INT.pattern})\s*"
+        payload = rf"\s*\({','.join([coordinate] * arity)}\)\s*"
+    return re.compile(rf"\s*\[{payload}\|{payload}\]\s*")
+
+
+def _match_pair(text: str, group: OrderedGroup):
+    """The pair ``text`` denotes when its carrier's pattern matches it whole
+    and every integer converts; None when the pattern does not match, a
+    denominator is zero or an integer is past the digit limit."""
+    kind, arity = group.payload_kind, group.payload_arity
+    m = _pair_pattern(kind, arity).fullmatch(text)
+    if m is None:
+        return None
+    try:  # int() raises ValueError only past the interpreter's digit limit
+        if kind == "integer":
+            left, right = int(m[1]), int(m[2])
+        elif kind == "fraction":
+            n1, d1, n2, d2 = [None if v is None else int(v) for v in m.groups()]
+            if d1 == 0 or d2 == 0:
+                return None
+            left = Fraction(n1) if d1 is None else Fraction(n1, d1)
+            right = Fraction(n2) if d2 is None else Fraction(n2, d2)
+        else:
+            values = [int(v) for v in m.groups()]
+            left, right = tuple(values[:arity]), tuple(values[arity:])
+    except ValueError:
+        return None
+    return BElement(group, left, right)
+
+
+def _step_pair(text: str, group: OrderedGroup, offset: int) -> BElement:
+    """The pair parsed piece by piece, raising ``ParseError`` at the
+    offending offset; ``parse_pair`` calls it for what ``_match_pair``
+    declines."""
     body, at = _strip(text, offset)
     if not body.startswith("["):
         raise ParseError("expected '['", at)
@@ -105,6 +148,16 @@ def parse_pair(text: str, group: OrderedGroup, offset: int = 0) -> BElement:
     left = parse_payload(left_text, group, at + 1)
     right = parse_payload(right_text, group, at + 2 + len(left_text))
     return BElement(group, left, right)
+
+
+def parse_pair(text: str, group: OrderedGroup, offset: int = 0) -> BElement:
+    """Parse a bracketed pair literal like ``[3|5]``.
+
+    A well-formed literal is read by one whole-literal pattern match; any
+    other text goes to the step parser, which locates the error.
+    """
+    pair = _match_pair(text, group)
+    return pair if pair is not None else _step_pair(text, group, offset)
 
 
 def parse(text: str, group: OrderedGroup) -> Union[Element, BElement]:

@@ -33,15 +33,23 @@ def test_summarise_takes_a_single_pair():
     assert row["change_wins"] == 1 and row["gain_holds"]
 
 
+# what the stubbed traced run of each side reads for one per-layer timing
+_TRACED_MAIN_US = {"base": 140.0, "change": 90.0}
+
+
 def _stub_bench(bad):
     """A ``_bench`` that answers at once; the runs named in ``bad``, as
-    (workload, side's checkout name, seed, trace), report ``bad[key]``."""
+    (workload, side's checkout name, seed, trace), report ``bad[key]``.
+    A traced run reads ``_TRACED_MAIN_US`` for ``cli.main_us``."""
     spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
 
     def bench(checkout, workload, seed, seconds, trace):
         verdict = bad.get((workload, checkout.name, seed, trace), {"correct": True, "failed": 0})
-        return {**verdict, "attempted": 10, "metrics": {k: {"value": 1.0} for k in names}}
+        metrics = {k: {"value": 1.0} for k in names}
+        if trace:
+            metrics["cli.main_us"] = {"value": _TRACED_MAIN_US[checkout.name]}
+        return {**verdict, "attempted": 10, "metrics": metrics}
 
     return bench
 
@@ -67,5 +75,11 @@ def test_main_flags_incorrect_runs(tmp_path, monkeypatch, capsys, bad, wrong):
     # every workload ran all its pairs and its traced runs before the exit
     for row in record["workloads"].values():
         assert len(row["runs"]["base"]) == len(row["runs"]["change"]) == 2
-        assert set(row["traced_counts"]) == {"base", "change"}
+        assert set(row["traced_counts"]) == set(row["traced_timings"]) == {"base", "change"}
+        # the traced run's timings sit next to its counts, each under its own key
+        for side, main_us in _TRACED_MAIN_US.items():
+            assert row["traced_timings"][side]["cli.main_us"] == main_us
+            assert "ogroups.mul_calls" in row["traced_counts"][side]
+            assert "cli.main_us" not in row["traced_counts"][side]
+            assert "ogroups.mul_calls" not in row["traced_timings"][side]
     assert ("incorrect or failed runs" in capsys.readouterr().err) == bool(wrong)

@@ -286,9 +286,24 @@ def test_shared_parser_keeps_no_state(capsys):
     assert run(capsys, "mul", "[1|2]", "[3|4]") == first
 
 
+_EXACT_LINES = [
+    ["mul", "--group", "ZxZ", "[(0,0)|(0,1)]", "[(1,0)|(2,3)]"],
+    ["inv", "[3|5]"],
+    ["leq", "--s", "[3|5]", "--t", "[1|3]"],
+    ["solve", "--target", "[1|2]", "--side", "sandwich", "--leftk", "[1|5]", "--rightk", "[7|2]"],
+    ["ideal", "--element", "[3|1]", "--anchor", "2", "--side", "right", "--bplus"],
+    ["upset", "--base", "[2|3]", "--window", "4"],
+    ["pmap", "apply", "--group", "Z", "--g", "2", "--h", "5", "--x", "3"],
+    ["witness", "--group", "Z", "--seed", "[0|0]", "--target", "[-3|7]"],
+    ["escape", "--group", "Z", "--a", "0", "--window", "4"],
+    ["check", "--group", "Z", "--window", "3", "--suites", "all", "--sample-seed", "5"],
+]
+
+
 def test_each_command_line_is_parsed_once(monkeypatch, capsys):
-    # counts argparse passes, not time: the command's parser alone parses
-    # a command line that starts with its name
+    # counts argparse passes, not time: a line of exact tokens is read by
+    # its command's table with no pass, any other line after a command
+    # name by that command's parser alone
     passes = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -298,12 +313,18 @@ def test_each_command_line_is_parsed_once(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
     assert main(["mul", "[1|2]", "[3|4]"]) == 0
-    assert passes == ["bicext mul"]
     assert main(["leq", "--s", "[3|5]", "--t", "[1|3]"]) == 0
-    assert passes == ["bicext mul", "bicext leq"]
+    assert passes == []
+    assert main(["leq", "--s=[3|5]", "--t", "[1|3]"]) == 0
+    assert passes == ["bicext leq"]
     with pytest.raises(SystemExit) as exc:
         main(["mul", "--group", "Nope", "[1|1]", "[1|1]"])
     assert exc.value.code == 2
+    # one line per command, as the README shows them, is in exact tokens
+    del passes[:]
+    for argv in _EXACT_LINES:
+        _parse_command_line(argv)
+    assert passes == []
     capsys.readouterr()
 
 
@@ -428,10 +449,16 @@ _PARSER_EDGES = [
     ["leq", "--s", "[3|5]", "--t", "[1|3]", "--s", "[1|1]"], ["pmap", "bogus"],
     ["pmap", "apply", "--g", "2", "--h", "5", "--x", "3"], ["solve", "--side", "up", "--target", "[1|2]"],
     ["check", "--suites", "ideals", "--sample-seed", "3"],
+    # argparse reads -3 as a value, since no option looks like a negative
+    # number, but refuses -3/4; the table leaves both to argparse
+    ["ideal", "--element", "[3|1]", "--anchor", "-3"],
+    ["ideal", "--element", "[3|1]", "--anchor", "-3/4"],
+    ["mul", "[1|2]", "--group", "Z", "[3|4]"], ["pmap", "--g", "2", "apply", "--h", "5"],
+    ["leq", "--s", "[3|5]"], ["upset", "--base", "[2|3]", "--window", "abc"],
 ]
 
 
-@pytest.mark.parametrize("argv", _PARSER_EDGES, ids=" ".join)
+@pytest.mark.parametrize("argv", _PARSER_EDGES + _EXACT_LINES, ids=" ".join)
 def test_one_pass_parse_matches_parse_args(argv):
     _assert_parse_parity(argv)
 
@@ -439,6 +466,69 @@ def test_one_pass_parse_matches_parse_args(argv):
 @settings(max_examples=200, deadline=None)
 @given(_literal_argv())
 def test_one_pass_parse_matches_parse_args_on_random_literals(argv):
+    _assert_parse_parity(argv)
+
+
+_COMMON_OPTIONS = ["--group", "--output", "--window", "--sample-seed"]
+# each command's own value options, then how many positionals it takes
+_COMMAND_OPTIONS = {
+    "mul": ([], 2), "inv": ([], 1), "leq": (["--s", "--t"], 0),
+    "solve": (["--target", "--known", "--side", "--leftk", "--rightk"], 0),
+    "ideal": (["--element", "--anchor", "--side"], 0), "upset": (["--base"], 0),
+    "pmap": (["--g", "--h", "--x"], 1), "witness": (["--seed", "--target"], 0),
+    "escape": (["--a"], 0), "check": (["--suites"], 0),
+}
+_GOOD_VALUE = {
+    "--group": st.sampled_from(sorted(GROUPS)),
+    "--output": st.sampled_from(["text", "json"]),
+    "--window": st.integers(-3, 9).map(str),
+    "--sample-seed": st.integers().map(str),
+    "--side": st.sampled_from(["left", "right", "sandwich"]),
+    "--suites": st.sampled_from(["all", "ideals", "axioms,order"]),
+    "--anchor": _PAYLOAD, "--g": _PAYLOAD, "--h": _PAYLOAD, "--x": _PAYLOAD, "--a": _PAYLOAD,
+}
+# values argparse refuses or reads in its own way: bad choices and ints,
+# strings starting with '-', empty strings and option names
+_ODD_VALUE = st.sampled_from([
+    "Nope", "xml", "up", "bogus", "abc", "3.5", "", " 7 ", "1_0", "٣",
+    "-3", "-3/4", "-", "--", "-h", "--help", "--s", "--group", "--bplus",
+])
+
+
+@st.composite
+def _exact_argv(draw):
+    """A command line in exact option strings with separate values, in
+    random order: mostly lines the exact-token table reads, and each way
+    it declines one (a value starting with '-', a missing required option,
+    extra, missing or interleaved positionals, a bad int or choice)."""
+    name = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    own, count = _COMMAND_OPTIONS[name]
+    # each option of the command is given five times in six, then repeats
+    # and options of other commands, --bplus included, may join them
+    chosen = [o for o in own if draw(st.integers(0, 5))]
+    chosen += draw(st.lists(st.sampled_from(_COMMON_OPTIONS + own + ["--bplus", "--s"]), max_size=4))
+    groups = []
+    for option in draw(st.permutations(chosen)):
+        if option == "--bplus":
+            groups.append([option])
+            continue
+        odd = draw(st.integers(0, 5)) == 0
+        groups.append([option, draw(_ODD_VALUE if odd else _GOOD_VALUE.get(option, _PAIR))])
+    count += draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    value = st.sampled_from(["apply", "check-compose", "bogus"]) if name == "pmap" else _PAIR
+    positionals = [draw(st.one_of(value, _ODD_VALUE) if draw(st.integers(0, 9)) == 0 else value)
+                   for _ in range(max(count, 0))]
+    if draw(st.booleans()):  # one run in one place
+        groups.insert(draw(st.integers(0, len(groups))), positionals)
+    else:  # each in its own place, so they may be interleaved with options
+        for p in positionals:
+            groups.insert(draw(st.integers(0, len(groups))), [p])
+    return [name] + [s for g in groups for s in g]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_argv())
+def test_exact_token_parse_matches_parse_args(argv):
     _assert_parse_parity(argv)
 
 

@@ -1,11 +1,13 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bicext.errors import ParseError
-from bicext.literals import parse, parse_pair, parse_payload
+from bicext.literals import _match_pair, _step_pair, parse, parse_pair, parse_payload
 from bicext.ogroups import H3, Q, Z, ZXZ
 from bicext.pairs import BElement
 
@@ -123,3 +125,62 @@ def test_lex_pair_round_trip(t):
 def test_pair_literal_round_trip(a, b):
     s = BElement(ZXZ, a, b)
     assert parse_pair(str(s), ZXZ) == s
+
+
+def test_regex_whitespace_is_strip_whitespace():
+    # the whole-literal patterns put \s where the step parser strips
+    space = re.compile(r"\s")
+    assert [c for c in map(chr, range(sys.maxunicode + 1))
+            if bool(space.fullmatch(c)) != (not c.strip())] == []
+
+
+_WS = st.text(" \t\n\x0b\x1c\u00a0\u2003\u3000", max_size=2)
+_DIGITS = st.one_of(st.integers(0, 10**30).map(str), st.sampled_from(["0", "007", "\u0663", "9" * 5000]))
+_SIGNED = st.tuples(st.sampled_from(["", "+", "-"]), _DIGITS).map("".join)
+
+
+def _spaced(draw, token):
+    return draw(_WS) + token + draw(_WS)
+
+
+@st.composite
+def _well_formed(draw, group):
+    """A pair literal the step parser reads, with whitespace wherever it
+    strips; its integers may be overlong and its denominators zero."""
+    def payload():
+        if group.payload_kind == "integer":
+            return _spaced(draw, draw(_SIGNED))
+        if group.payload_kind == "fraction":
+            den = draw(st.one_of(st.just(""), _DIGITS.map("/".__add__)))
+            return _spaced(draw, draw(_SIGNED) + den)
+        coords = ",".join(_spaced(draw, draw(_SIGNED)) for _ in range(group.payload_arity))
+        return _spaced(draw, f"({coords})")
+    return _spaced(draw, f"[{payload()}|{payload()}]")
+
+
+_NOISE = st.text("[]|(),/+-0123456789x \t\u00a0\u3000\u0663", max_size=16)
+
+
+def _outcome(parse_step, text, group, offset):
+    """The pair's repr, which tells a Fraction from an int, or the error."""
+    try:
+        return repr(parse_step(text, group, offset))
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+@given(st.sampled_from([Z, Q, ZXZ, H3]).flatmap(
+    lambda g: st.tuples(st.just(g), st.one_of(_well_formed(g), _NOISE), st.sampled_from([0, 5]))
+))
+@example((Z, "[" + "9" * 5000 + "|0]", 0))
+@example((Q, "[1/0|1]", 0))
+@example((Q, " [ 3/4 | -1/00 ] ", 5))
+@example((H3, "[(0,0,0)|(1,2," + "9" * 5000 + ")]", 0))
+def test_parse_pair_matches_the_step_parser(case):
+    # the pattern reads exactly what the step parser reads, to the same
+    # value, and parse_pair answers everything else as the step parser does
+    group, text, offset = case
+    expected = _outcome(_step_pair, text, group, offset)
+    fast = _match_pair(text, group)
+    assert (None if fast is None else repr(fast)) == (expected if isinstance(expected, str) else None)
+    assert _outcome(parse_pair, text, group, offset) == expected

@@ -11,7 +11,9 @@ For every workload in ``BENCHMARK.json`` the script runs ``--pairs``
 pairs of ``python3 bench/run.py --workload <w> --seed <s> --seconds <t>
 --trace 0``, one run per side on the same seed, switching which side
 runs first from one pair to the next.  It then makes one ``--trace 1``
-run per side and workload for the exact operation counts.
+run per side and workload, and keeps its exact operation counts
+(``traced_counts``) and its per-layer timings (``traced_timings``): one
+traced run per side, so a timing there is a single reading, not a median.
 
 The output holds, per workload and end-to-end metric, every run, each
 side's median and quartiles, the base side's IQR, the pairs the change
@@ -113,6 +115,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
+    timings = [m["name"] for m in spec["per_layer"] if m["unit"] != "count"]
     sides = {"base": _git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
              "change": _git("rev-parse", "--verify", f"{args.change}^{{commit}}")}
     seeds = list(range(args.seed, args.seed + args.pairs))
@@ -157,13 +160,13 @@ def main(argv=None) -> int:
                 print(f"{name} pair {i + 1}/{len(seeds)}: " + ", ".join(
                     f"{k} {v['base']['median']:.4g} -> {v['change']['median']:.4g}"
                     for k, v in row["metrics"].items()), flush=True)
-            traced = {}
+            row["traced_counts"], row["traced_timings"] = {}, {}
             for side in ("base", "change"):
                 result = _bench(checkouts[side], name, seeds[0], seconds, 1)
                 row["all_correct"] = row["all_correct"] and _ok(result)
-                traced[side] = {k: result["metrics"][k]["value"] for k in counts
-                                if k in result["metrics"]}
-            row["traced_counts"] = traced
+                for key, names in (("traced_counts", counts), ("traced_timings", timings)):
+                    row[key][side] = {k: result["metrics"][k]["value"] for k in names
+                                      if k in result["metrics"]}
             save()
     wrong = [name for name, row in record["workloads"].items() if not row["all_correct"]]
     if wrong:
