@@ -7,11 +7,18 @@ literals, operations invoked outside their stated domain) and for results
 too long to render.  JSON output is schema-stable and sorted; text output
 is for reading.
 
-A command line is parsed in one argparse pass: its first string selects
-the command's parser directly, and the top-level parser answers only help
-and usage errors (no command, ``-h``, an unknown name, an option before
-the command).  All parsers are built once, on the first ``main`` call, and
-shared by every later call; see ``build_parser`` for why that is safe.
+The first string of a command line selects the command.  When every
+later string is an exact token (a full option string with its value, a
+flag, or a positional, none of the values starting with ``-``; see
+``_parse_exact``), the command's table builds the namespace with no
+argparse pass.  Any other line after a command name (help, ``--opt=value``,
+abbreviations, ``--``, values such as ``-3``, interleaved positionals and
+every usage error) takes one argparse pass with the command's parser; the
+top-level parser answers only help and usage errors (no command, ``-h``,
+an unknown name, an option before the command).  Parsers and tables are
+built once, on the first ``main`` call, and shared by every later call;
+see ``build_parser`` for why that is safe.  Each answer is built only in
+the form ``--output`` asks for.
 """
 
 from __future__ import annotations
@@ -299,32 +306,26 @@ def _cmd_check(args) -> int:
 
 
 def _exact_table(command: argparse.ArgumentParser, actions: list) -> tuple:
-    """What ``_parse_exact`` needs to know of ``command``, read from public
-    attributes of the ``Action`` objects ``add_argument`` returned: the
-    action of each option string, the positional (a command has at most
-    one) and how many strings it takes, the required options, and the
-    namespace of a line that gives no option, with string defaults
+    """What ``_parse_exact`` needs of ``command``, read from public attributes
+    of the actions ``add_argument`` returned: each option string's action,
+    the positional (at most one, of a fixed count), the required options,
+    and the namespace of a line that gives no option, with string defaults
     converted as argparse converts them."""
     options = {s: a for a in actions for s in a.option_strings}
-    positionals = [a for a in actions if not a.option_strings]
-    positional = positionals[0] if positionals else None
-    count = 0 if positional is None else 1 if positional.nargs is None else positional.nargs
-    if len(positionals) > 1 or not isinstance(count, int) or any(
-        a.nargs not in (None, 0) for a in options.values()
-    ):
-        raise TypeError(f"{command.prog}: an argument the exact-token parse cannot read")
-    required = [a for a in options.values() if a.required]
+    positional = next((a for a in actions if not a.option_strings), None)
     defaults = {
         a.dest: a.type(a.default) if isinstance(a.default, str) and a.type else a.default
         for a in actions
     }
     defaults["fn"] = command.get_default("fn")  # the one set_defaults key
-    return options, positional, count, required, defaults
+    return options, positional, [a for a in options.values() if a.required], defaults
 
 
 def _exact_value(action: argparse.Action, text: str):
-    """``text`` converted and checked as argparse converts and checks it;
-    None where argparse would refuse it (no value read here is None)."""
+    """``text`` converted and checked as argparse would for ``action``; None
+    where argparse would refuse it or read it as an option string."""
+    if text.startswith("-"):
+        return None
     try:
         value = text if action.type is None else action.type(text)
     except (TypeError, ValueError):
@@ -336,46 +337,38 @@ def _parse_exact(table: tuple, strings: list) -> Optional[argparse.Namespace]:
     """The namespace of a command's ``strings`` when they are exact tokens;
     None for any other line, which argparse then answers.
 
-    Exact tokens: every string is an exact option string followed by a
-    value that does not start with ``-`` (or a flag), or a positional that
-    does not start with ``-``; the positionals form one contiguous run of
-    the right count; every value converts and is among its choices; and
-    every required option is present.  argparse reads such a line the same
-    way, the last repeat of an option winning.
+    Exact tokens: every string is an exact option string (followed by its
+    value unless it is a flag) or a positional; no value starts with ``-``;
+    the positionals form one contiguous run of the right count; every value
+    converts and is among its choices; every required option is present.
+    argparse reads such a line the same way, the last repeat winning.
     """
-    options, positional, count, required, defaults = table
-    values = dict(defaults)
-    seen = set()
-    run = []  # indices of the positional strings
-    i = 0
+    options, positional, required, values = table
+    values = dict(values)
+    seen, run, i = set(), [], 0
     while i < len(strings):
-        text = strings[i]
-        if not text.startswith("-"):
+        action = options.get(strings[i])
+        if action is None:  # a positional; _exact_value refuses one starting with "-"
             run.append(i)
-            i += 1
-            continue
-        action = options.get(text)
-        if action is None:
-            return None
-        if action.nargs == 0:
+        elif action.nargs == 0:
             values[action.dest] = action.const
-            i += 1
+            seen.add(action)
         else:
-            if i + 1 == len(strings) or strings[i + 1].startswith("-"):
-                return None
-            value = _exact_value(action, strings[i + 1])
+            i += 1
+            value = _exact_value(action, strings[i]) if i < len(strings) else None
             if value is None:
                 return None
             values[action.dest] = value
-            i += 2
-        seen.add(action)
+            seen.add(action)
+        i += 1
+    count = 0 if positional is None else positional.nargs or 1
     if len(run) != count or run and run[-1] - run[0] != count - 1:
         return None
     if positional is not None:
         given = [_exact_value(positional, strings[j]) for j in run]
         if None in given:
             return None
-        values[positional.dest] = given[0] if positional.nargs is None else given
+        values[positional.dest] = given if positional.nargs else given[0]
     if any(a not in seen for a in required):
         return None
     return argparse.Namespace(**values)
@@ -383,8 +376,8 @@ def _parse_exact(table: tuple, strings: list) -> Optional[argparse.Namespace]:
 
 @functools.cache
 def _parsers() -> tuple:
-    """The top-level parser, its command table and, per command, the
-    exact-token table of ``_exact_table``, built once; see build_parser."""
+    """The top-level parser, its command table and each command parser's
+    exact-token table (see ``_exact_table``), built once; see build_parser."""
     common = argparse.ArgumentParser(add_help=False)
     shared = [
         common.add_argument("--group", default="Z", choices=sorted(GROUPS)),
@@ -398,85 +391,69 @@ def _parsers() -> tuple:
         description="Exact pair semigroups over linearly ordered groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tables = {}
+    actions = {}
+
+    def add(p, *args, **kwargs):
+        # p.add_argument, keeping the action it returns after the shared ones
+        actions.setdefault(p, list(shared)).append(p.add_argument(*args, **kwargs))
 
     p = sub.add_parser("mul", parents=[common], help="multiply two pairs")
+    add(p, "elements", nargs=2, metavar="PAIR")
     p.set_defaults(fn=_cmd_mul)
-    tables["mul"] = _exact_table(p, shared + [
-        p.add_argument("elements", nargs=2, metavar="PAIR"),
-    ])
 
     p = sub.add_parser("inv", parents=[common], help="invert a pair")
+    add(p, "element", metavar="PAIR")
     p.set_defaults(fn=_cmd_inv)
-    tables["inv"] = _exact_table(p, shared + [
-        p.add_argument("element", metavar="PAIR"),
-    ])
 
     p = sub.add_parser("leq", parents=[common], help="natural partial order test")
+    add(p, "--s", required=True)
+    add(p, "--t", required=True)
     p.set_defaults(fn=_cmd_leq)
-    tables["leq"] = _exact_table(p, shared + [
-        p.add_argument("--s", required=True),
-        p.add_argument("--t", required=True),
-    ])
 
     p = sub.add_parser("solve", parents=[common], help="solve a one-unknown equation")
+    add(p, "--target", required=True)
+    add(p, "--known")
+    add(p, "--side", default="right", choices=["left", "right", "sandwich"])
+    add(p, "--leftk")
+    add(p, "--rightk")
+    add(p, "--bplus", action="store_true")
     p.set_defaults(fn=_cmd_solve)
-    tables["solve"] = _exact_table(p, shared + [
-        p.add_argument("--target", required=True),
-        p.add_argument("--known"),
-        p.add_argument("--side", default="right", choices=["left", "right", "sandwich"]),
-        p.add_argument("--leftk"),
-        p.add_argument("--rightk"),
-        p.add_argument("--bplus", action="store_true"),
-    ])
 
     p = sub.add_parser("ideal", parents=[common], help="principal ideal membership")
+    add(p, "--element", required=True)
+    add(p, "--anchor", required=True)
+    add(p, "--side", default="right", choices=["left", "right"])
+    add(p, "--bplus", action="store_true")
     p.set_defaults(fn=_cmd_ideal)
-    tables["ideal"] = _exact_table(p, shared + [
-        p.add_argument("--element", required=True),
-        p.add_argument("--anchor", required=True),
-        p.add_argument("--side", default="right", choices=["left", "right"]),
-        p.add_argument("--bplus", action="store_true"),
-    ])
 
     p = sub.add_parser("upset", parents=[common], help="window view of an up-set")
+    add(p, "--base", required=True)
+    add(p, "--bplus", action="store_true")
     p.set_defaults(fn=_cmd_upset)
-    tables["upset"] = _exact_table(p, shared + [
-        p.add_argument("--base", required=True),
-        p.add_argument("--bplus", action="store_true"),
-    ])
 
     p = sub.add_parser("pmap", parents=[common], help="partial shift operations")
+    add(p, "action", choices=["apply", "check-compose"])
+    add(p, "--g", help="domain anchor literal")
+    add(p, "--h", help="codomain anchor literal")
+    add(p, "--x", help="evaluation point literal")
     p.set_defaults(fn=_cmd_pmap)
-    tables["pmap"] = _exact_table(p, shared + [
-        p.add_argument("action", choices=["apply", "check-compose"]),
-        p.add_argument("--g", help="domain anchor literal"),
-        p.add_argument("--h", help="codomain anchor literal"),
-        p.add_argument("--x", help="evaluation point literal"),
-    ])
 
     p = sub.add_parser("witness", parents=[common], help="build an isolation chain")
+    add(p, "--seed", required=True)
+    add(p, "--target", required=True)
     p.set_defaults(fn=_cmd_witness)
-    tables["witness"] = _exact_table(p, shared + [
-        p.add_argument("--seed", required=True),
-        p.add_argument("--target", required=True),
-    ])
 
     p = sub.add_parser("escape", parents=[common], help="escape certificates for a region")
+    add(p, "--a", required=True, help="idempotent anchor literal")
     p.set_defaults(fn=_cmd_escape)
-    tables["escape"] = _exact_table(p, shared + [
-        p.add_argument("--a", required=True, help="idempotent anchor literal"),
-    ])
 
     p = sub.add_parser("check", parents=[common], help="run the property suites")
+    add(p, "--suites", default="all")
     p.set_defaults(fn=_cmd_check)
-    tables["check"] = _exact_table(p, shared + [
-        p.add_argument("--suites", default="all"),
-    ])
 
     # the name-to-parser mapping add_subparsers fills, captured here so
     # main can look a command up without argparse's private attributes
-    return parser, sub.choices, tables
+    return parser, sub.choices, {p: _exact_table(p, a) for p, a in actions.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,7 +492,7 @@ def _parse_command_line(argv: list) -> argparse.Namespace:
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args = _parse_exact(tables[argv[0]], argv[1:])
+    args = _parse_exact(tables[command], argv[1:])
     if args is not None:
         return args
     args, extras = command.parse_known_args(argv[1:])

@@ -5,6 +5,15 @@ parse, so ``2/4`` reads as ``1/2``); integer pair ``(1,-2)``; integer
 triple ``(1,0,-2)``.  A semigroup pair wraps two payload literals in
 brackets with a bar: ``[3|5]``.  Parse errors carry the offset of the
 offending character in the original string.
+
+``parse_pair`` reads a well-formed pair literal by matching it whole
+against one pattern per payload kind, compiled on first use.  What the
+pattern does not match, a zero denominator and an integer past the
+interpreter's digit limit go to the step parser, which strips and splits
+the literal piece by piece and so locates the error.  The pattern matches
+exactly the literals the step parser accepts, plus those with a zero
+denominator or an overlong integer, which the step parser then refuses;
+both read an accepted literal to the same value.
 """
 
 from __future__ import annotations
@@ -108,27 +117,25 @@ def _pair_pattern(kind: str, arity: int) -> re.Pattern:
 
 
 def _match_pair(text: str, group: OrderedGroup):
-    """The pair ``text`` denotes when its carrier's pattern matches it whole
-    and every integer converts; None when the pattern does not match, a
-    denominator is zero or an integer is past the digit limit."""
+    """The pair ``text`` denotes when its carrier's pattern matches it whole;
+    None when it does not match, a denominator is zero or an integer is
+    past the digit limit."""
     kind, arity = group.payload_kind, group.payload_arity
     m = _pair_pattern(kind, arity).fullmatch(text)
     if m is None:
         return None
-    try:  # int() raises ValueError only past the interpreter's digit limit
-        if kind == "integer":
-            left, right = int(m[1]), int(m[2])
-        elif kind == "fraction":
-            n1, d1, n2, d2 = [None if v is None else int(v) for v in m.groups()]
-            if d1 == 0 or d2 == 0:
-                return None
-            left = Fraction(n1) if d1 is None else Fraction(n1, d1)
-            right = Fraction(n2) if d2 is None else Fraction(n2, d2)
-        else:
-            values = [int(v) for v in m.groups()]
-            left, right = tuple(values[:arity]), tuple(values[arity:])
-    except ValueError:
+    try:
+        values = [int(v or 1) for v in m.groups()]  # an absent denominator is 1
+    except ValueError:  # only the interpreter's str-to-int digit limit gets here
         return None
+    if kind == "integer":
+        left, right = values
+    elif kind == "fraction":
+        if not (values[1] and values[3]):
+            return None
+        left, right = Fraction(values[0], values[1]), Fraction(values[2], values[3])
+    else:
+        left, right = tuple(values[:arity]), tuple(values[arity:])
     return BElement(group, left, right)
 
 
