@@ -320,7 +320,7 @@ def test_each_command_line_is_parsed_once(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mul", "--group", "Nope", "[1|1]", "[1|1]"])
     assert exc.value.code == 2
-    # one line per command, as the README shows them, is in exact tokens
+    # a line in exact tokens takes no pass on any command
     del passes[:]
     for argv in _EXACT_LINES:
         _parse_command_line(argv)

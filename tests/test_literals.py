@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicext.errors import ParseError
@@ -169,9 +169,15 @@ def _outcome(parse_step, text, group, offset):
         return str(exc), exc.offset
 
 
+@settings(max_examples=300)
 @given(st.sampled_from([Z, Q, ZXZ, H3]).flatmap(
     lambda g: st.tuples(st.just(g), st.one_of(_well_formed(g), _NOISE), st.sampled_from([0, 5]))
 ))
+# whitespace at every strip point of each carrier
+@example((Z, "\t[ 3 |\u00a0-5 ]\n", 0))
+@example((Q, " [ 1/2 | -3 ] ", 0))
+@example((ZXZ, " [ ( 1 , 2 ) | ( 3 , -4 ) ] ", 0))
+@example((H3, " [ ( 1 , 2 , 3 ) | ( 0 , 0 , -1 ) ] ", 0))
 @example((Z, "[" + "9" * 5000 + "|0]", 0))
 @example((Q, "[1/0|1]", 0))
 @example((Q, " [ 3/4 | -1/00 ] ", 5))
