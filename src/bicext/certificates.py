@@ -109,12 +109,12 @@ def build_witness_chain(seed: BElement, target: BElement) -> WitnessChain:
     v, u = target.left, target.right
 
     c = g.element_below(u)
-    d = g.mul(g.mul(c, g.inv(u)), b)
+    d = g.carry(c, u, b)
     right_translator = BElement(g, c, d)
     intermediate = BElement(g, a, u)
 
     d2 = g.element_below(v)
-    c2 = g.mul(g.mul(d2, g.inv(v)), a)
+    c2 = g.carry(d2, v, a)
     left_translator = BElement(g, c2, d2)
 
     if intermediate * right_translator != seed:

@@ -1,10 +1,14 @@
 """Natural partial order on the pair semigroup, plus equation solvers.
 
-The order has a two-comparison coordinate test; the oracle re-derives
-the verdict three independent ways and insists they agree.  Each
-one-unknown equation resolves, by a single comparison, into no solution,
-one closed-form solution, or an upward-closed solution set returned
-symbolically through its least element.
+The order has a coordinate test: s <= t exactly when s.left >= t.left
+and s.right = s.left * t.left^-1 * t.right, one comparison and one
+``carry``.  Proof of the equation: multiplying the equal left-to-right
+quotients s.left^-1 * s.right = t.left^-1 * t.right on the left by
+s.left gives it, and multiplying it by s.left^-1 gives them back.  The
+oracle re-derives the verdict three independent ways and insists they
+agree.  Each one-unknown equation resolves, by a single comparison, into
+no solution, one closed-form solution, or an upward-closed solution set
+returned symbolically through its least element.
 
 The existential characterizations need no search, because each has one
 canonical witness.  s <= t exactly when s = e * t for some idempotent e,
@@ -45,12 +49,12 @@ def _same_instance(s: BElement, t: BElement):
 
 
 def nat_leq(s: BElement, t: BElement) -> bool:
-    """Coordinate test for s below t: equal left-to-right quotients and
-    s.left at or above t.left."""
+    """Coordinate test: s <= t iff s.left >= t.left and s.right =
+    s.left * t.left^-1 * t.right, which is the equal left-to-right
+    quotients s.left^-1 * s.right = t.left^-1 * t.right multiplied on the
+    left by s.left.  One ``cmp``; no ``mul`` or ``inv`` if s.left < t.left."""
     g = _same_instance(s, t)
-    quot_s = g.mul(g.inv(s.left), s.right)
-    quot_t = g.mul(g.inv(t.left), t.right)
-    return quot_s == quot_t and g.geq(s.left, t.left)
+    return g.cmp(s.left, t.left) >= 0 and g.carry(s.left, t.left, t.right) == s.right
 
 
 def nat_leq_dual(s: BElement, t: BElement) -> bool:
@@ -145,7 +149,7 @@ def solve_right(target: BElement, known: BElement, bplus: bool = False) -> Solut
     if verdict < 0:
         return SolutionSet(SolutionKind.NO_SOLUTION)
     if verdict > 0:
-        w = _make(g, g.mul(g.mul(a, g.inv(c)), d), b)
+        w = _make(g, g.carry(a, c, d), b)
         if known * w != target or (bplus and not w.in_bplus()):
             raise InternalError(f"solve_right produced a bad solution {w}")
         return SolutionSet(SolutionKind.UNIQUE, w)
@@ -164,7 +168,7 @@ def solve_left(target: BElement, known: BElement, bplus: bool = False) -> Soluti
     if verdict < 0:
         return SolutionSet(SolutionKind.NO_SOLUTION)
     if verdict > 0:
-        w = _make(g, a, g.mul(g.mul(b, g.inv(d)), c))
+        w = _make(g, a, g.carry(b, d, c))
         if w * known != target or (bplus and not w.in_bplus()):
             raise InternalError(f"solve_left produced a bad solution {w}")
         return SolutionSet(SolutionKind.UNIQUE, w)
@@ -223,13 +227,13 @@ def ideal_member(
 def up_set_window(base: BElement, bounds: Bounds, bplus: bool = False) -> List[BElement]:
     """Finite view of the up-set above ``base``: every window pair it sits below.
 
-    Closed form: t lies above base exactly when t has base's quotient
-    q = base.left^-1 * base.right and t.left <= base.left.  So the members
-    are the pairs (x, x * q) for window elements x <= base.left whose
-    x * q is in the window, listed in window order of x; with ``bplus``,
-    only those with both coordinates positive.  That is the order
-    ``pairs_in_window`` lists them in, at O(n) carrier work for an
-    n-element window instead of a scan of its n^2 pairs.
+    Closed form: t lies above base exactly when t.left <= base.left and
+    t.right = t.left * base.left^-1 * base.right.  So the members are the
+    pairs (x, carry(x, base.left, base.right)) for window elements
+    x <= base.left whose carry is in the window, listed in window order
+    of x; with ``bplus``, only those with both coordinates positive.
+    That is the order ``pairs_in_window`` lists them in, at O(n) carrier
+    work for an n-element window instead of a scan of its n^2 pairs.
 
     Raises NotApplicable when the carrier is not enumerable.
     """
@@ -239,11 +243,10 @@ def up_set_window(base: BElement, bounds: Bounds, bplus: bool = False) -> List[B
     elems = g.elements(bounds)
     in_window = set(elems)
     top = base.left
-    q = g.mul(g.inv(top), base.right)
     members = []
     for x in elems:
         if g.cmp(x, top) <= 0:
-            y = g.mul(x, q)
+            y = g.carry(x, top, base.right)
             if y in in_window:
                 members.append(_make(g, x, y))
     if bplus:

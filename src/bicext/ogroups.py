@@ -5,7 +5,9 @@ multiplication, inversion, a total order invariant under translation on
 both sides, and an optional successor/predecessor when the order is not
 dense.  Four concrete carriers ship: integers, rationals, integer pairs
 under the lexicographic order, and the discrete Heisenberg group ordered
-lexicographically.  The Heisenberg order is validated by the cone
+lexicographically.  Each writes ``carry(x, y, z) = x * y^-1 * z``, which
+every pair product, the natural order and the solvers reduce to, in
+closed form.  The Heisenberg order is validated by the cone
 checker at the bottom of this module rather than taken on faith.
 
 Element payloads are plain Python values (int, Fraction, tuple of ints),
@@ -72,6 +74,17 @@ class OrderedGroup:
 
     def inv(self, g: Element) -> Element:
         raise NotImplementedError
+
+    def carry(self, x: Element, y: Element, z: Element) -> Element:
+        """x * y^-1 * z, where the shift carrying y onto z sends x."""
+        return self.mul(self.mul(x, self.inv(y)), z)
+
+    def __init_subclass__(cls, **kwargs):
+        # a subclass or mixin replacing mul or inv, not carry, gets this carry
+        super().__init_subclass__(**kwargs)
+        home = next(k for k in cls.__mro__ if "carry" in vars(k))
+        if cls.mul is not home.mul or cls.inv is not home.inv:
+            cls.carry = OrderedGroup.carry
 
     def cmp(self, g: Element, h: Element) -> int:
         """Total-order verdict: -1 (less), 0 (equal) or 1 (greater)."""
@@ -171,6 +184,9 @@ class IntegerGroup(OrderedGroup):
     def inv(self, g):
         return -g
 
+    def carry(self, x, y, z):
+        return x - y + z
+
     def contains(self, x) -> bool:
         return type(x) is int
 
@@ -193,9 +209,10 @@ class RationalGroup(OrderedGroup):
     The carrier is not enumerable; its ``window`` is a deterministic grid
     of fractions instead.
 
-    ``mul``, ``inv`` and ``cmp`` take ``Fraction`` payloads only, as
-    ``contains`` enforces, and work on its ``_numerator``/``_denominator``
-    slots; results equal those of ``+`` and ``-`` in type and hash too.
+    ``mul``, ``inv``, ``carry`` and ``cmp`` take ``Fraction`` payloads
+    only, as ``contains`` enforces, and work on its ``_numerator``/
+    ``_denominator`` slots; results equal those of ``+`` and ``-`` in
+    type and hash too.
     """
 
     name = "Q"
@@ -222,6 +239,12 @@ class RationalGroup(OrderedGroup):
 
     def inv(self, g):
         return _fraction(-g._numerator, g._denominator)
+
+    def carry(self, x, y, z):
+        b, d, f = x._denominator, y._denominator, z._denominator
+        n, m = (x._numerator * d - y._numerator * b) * f + z._numerator * b * d, b * d * f
+        k = gcd(n, m)
+        return _fraction(n // k, m // k)
 
     def cmp(self, g, h):
         # denominators are positive, so cross-multiplying keeps the order;
@@ -305,6 +328,9 @@ class LexPairGroup(LexTupleGroup):
     def inv(self, g):
         return (-g[0], -g[1])
 
+    def carry(self, x, y, z):
+        return (x[0] - y[0] + z[0], x[1] - y[1] + z[1])
+
     def contains(self, x) -> bool:
         return (
             type(x) is tuple
@@ -336,6 +362,10 @@ class HeisenbergGroup(LexTupleGroup):
 
     def inv(self, g):
         return (-g[0], -g[1], g[0] * g[1] - g[2])
+
+    def carry(self, x, y, z):
+        s = x[0] - y[0]
+        return (s + z[0], x[1] - y[1] + z[1], x[2] - y[2] + z[2] + s * (z[1] - y[1]))
 
     def contains(self, x) -> bool:
         return (

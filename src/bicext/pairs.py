@@ -84,9 +84,9 @@ class BElement(_PairSlots):
         c, d = other.left, other.right
         verdict = g.cmp(b, c)
         if verdict < 0:
-            a = g.mul(g.mul(c, g.inv(b)), a)
+            a = g.carry(c, b, a)
         elif verdict > 0:
-            d = g.mul(g.mul(b, g.inv(c)), d)
+            d = g.carry(b, c, d)
         # built inline as _make does, one call frame cheaper per product
         s = _PairSlots()
         s.group = g

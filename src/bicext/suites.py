@@ -267,18 +267,21 @@ def _raised(exc: Exception) -> str:
 
 def c_group_laws(ctx: _Ctx) -> Outcome:
     # pair products and shift composites build their results unchecked, so
-    # this check is also the guard that mul and inv never leave the carrier
+    # this check is also the guard that mul, inv and carry never leave the
+    # carrier; it holds carry to the mul and inv it stands for
     g = ctx.group
     elems = ctx.elements()
     e = g.identity
 
     def triple_fault(a, b, c):
-        ab, bc = g.mul(a, b), g.mul(b, c)
+        ab, bc, k = g.mul(a, b), g.mul(b, c), g.carry(a, b, c)
         lhs, rhs = g.mul(ab, c), g.mul(a, bc)
-        if not all(map(g.contains, (ab, bc, lhs, rhs))):
+        if not all(map(g.contains, (ab, bc, lhs, rhs, k))):
             return f"a product left the carrier at {g.render(a)}, {g.render(b)}, {g.render(c)}"
         if lhs != rhs:
             return f"associativity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}"
+        if k != g.mul(g.mul(a, g.inv(b)), c):
+            return f"carry law broke at {g.render(a)}, {g.render(b)}, {g.render(c)}"
 
     def unit_fault(a):
         ia = g.inv(a)

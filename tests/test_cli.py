@@ -99,6 +99,27 @@ def test_pmap_apply(capsys):
     assert code == 0 and out.strip() == "6"
 
 
+@pytest.mark.parametrize(
+    "before, option, value, after, answer",
+    [
+        (["ideal", "--group", "Q", "--element", "[1|2]"], "--anchor", "-3/4",
+         ["--side", "right"], "[1|2] in the right ideal of [-3/4|-3/4]: True"),
+        (["pmap", "apply", "--group", "Q"], "--g", "-1/2", ["--h", "1", "--x", "0"], "3/2"),
+    ],
+    ids=["ideal", "pmap"],
+)
+def test_negative_fraction_option_values_need_the_equals_form(
+    capsys, before, option, value, after, answer
+):
+    # argparse reads "-3/4" as an option string, though "-3" as a value
+    with pytest.raises(SystemExit) as exc:
+        main([*before, option, value, *after])
+    assert exc.value.code == 2
+    assert f"argument {option}: expected one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, *before, f"{option}={value}", *after)
+    assert code == 0 and out.strip() == answer
+
+
 def test_pmap_apply_out_of_domain(capsys):
     code, _, err = run(capsys, "pmap", "apply", "--g", "2", "--h", "5", "--x", "1")
     assert code == 2 and "OutOfDomain" in err

@@ -45,6 +45,23 @@ def test_nat_leq_antisymmetry_direction():
     assert not nat_leq(be(Z, 1, 3), be(Z, 3, 5))
 
 
+def test_nat_leq_costs_one_comparison(any_group, counting):
+    # s <= t iff s.left >= t.left and s.right = s.left * t.left^-1 * t.right:
+    # one cmp, then the carry only when the comparison allows it
+    g = any_group
+    carrier, calls = counting(g)
+    pool = [be(carrier, s.left, s.right) for s in pairs_over(g, g.window(1))]
+    for s, t in itertools.product(pool, repeat=2):
+        calls.clear()
+        verdict = nat_leq(s, t)
+        below = g.cmp(s.left, t.left) < 0
+        assert calls["cmp"] == 1 and not calls["contains"]
+        # the counting twin's carry is the generic one: two mul, one inv
+        assert (calls["mul"], calls["inv"]) == ((0, 0) if below else (2, 1))
+        quotients = g.mul(g.inv(s.left), s.right) == g.mul(g.inv(t.left), t.right)
+        assert verdict == (not below and quotients)
+
+
 def test_oracle_agreement_window():
     pool = pairs_in_window(Z, 2)
     for s, t in itertools.product(pool, repeat=2):

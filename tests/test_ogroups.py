@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 from bicext.errors import NotApplicable
 from bicext.ogroups import (
+    GROUPS,
     H3,
     Q,
     Z,
     ZXZ,
+    OrderedGroup,
     check_positive_cone_axioms,
     normalize_bounds,
     successor_check,
@@ -147,6 +151,82 @@ def test_rational_ops_match_fraction_operators(pair):
     assert _same_fraction(Q.mul(a, Q.inv(a)), Q.identity)
     assert Q.cmp(a, b) == (a > b) - (a < b)
     assert not Q.contains(1) and Q.contains(a)
+
+
+# carry(x, y, z) is each carrier's closed form of x * y^-1 * z.  Integers
+# are small, zero, about 40 digits or past the 4,300-digit str/int limit
+# (arithmetic has no such limit, only conversion to and from text).
+_carry_ints = (
+    st.just(0)
+    | st.integers(-12, 12)
+    | st.integers(-_big, _big)
+    | st.integers(-12, 12).map(lambda k: k * 10**4400 + 7)
+)
+_carry_elements = {
+    "Z": _carry_ints,
+    "ZxZ": st.tuples(_carry_ints, _carry_ints),
+    "H3": st.tuples(_carry_ints, _carry_ints, _carry_ints),
+    "Q": st.builds(Fraction, _carry_ints, st.integers(1, 12) | _carry_ints.filter(lambda d: d > 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@given(data=st.data())
+def test_carry_is_mul_of_mul_and_inv(name, data):
+    g = GROUPS[name]
+    x, y, z = (data.draw(_carry_elements[name]) for _ in range(3))
+    got = g.carry(x, y, z)
+    assert g.contains(got)
+    assert got == g.mul(g.mul(x, g.inv(y)), z)
+    if g is Q:
+        assert _same_fraction(got, x - y + z)
+
+
+def test_carry_examples():
+    # H3 is non-abelian: x * y^-1 * z is not x + z - y coordinatewise
+    assert H3.carry((1, 0, 0), (0, 0, 0), (0, 1, 0)) == (1, 1, 1)
+    assert H3.carry((0, 1, 0), (1, 0, 0), (1, 0, 0)) == (0, 1, 0)
+    assert H3.carry((2, 3, 5), (2, 3, 5), (7, -1, 4)) == (7, -1, 4)
+    assert _same_fraction(Q.carry(Fraction(1, 6), Fraction(1, 3), Fraction(1, 6)), Fraction(0))
+    assert _same_fraction(Q.carry(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6)), Fraction(1))
+    assert Z.carry(3, 10**5000, 10**5000) == 3
+
+
+def _tracing():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_carry_guard_gives_replaced_primitives_the_generic_carry(
+    broken_group, leaky_group, counting
+):
+    # each shipped carrier keeps its own closed form
+    for g in GROUPS.values():
+        assert type(g).carry is vars(type(g))["carry"] is not OrderedGroup.carry
+    # a carrier that replaces mul or inv, directly or through a mixin, sees
+    # its own primitives in every carry
+    tracing = _tracing()
+    for g in GROUPS.values():
+        assert type(counting(g)[0]).carry is OrderedGroup.carry
+        assert type(tracing.counting(g)).carry is OrderedGroup.carry
+    assert type(leaky_group).carry is OrderedGroup.carry
+    # carry reads no comparison: a carrier that replaces only cmp keeps Z's
+    assert type(broken_group).carry is type(Z).carry
+    # defining carry beside the replaced primitives keeps that carry
+    class OwnCarry(type(Z)):
+        def mul(self, g, h):
+            return g + h
+
+        def carry(self, x, y, z):
+            return x - y + z
+
+    assert OwnCarry.carry is vars(OwnCarry)["carry"]
+    # the counting twin's product shows the generic carry's two products
+    carrier, calls = counting(Z)
+    assert carrier.carry(5, 2, 1) == 4 and calls == {"mul": 2, "inv": 1}
 
 
 def test_rational_constants_are_shared_and_unchanged():

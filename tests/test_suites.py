@@ -77,6 +77,27 @@ def test_group_laws_catch_a_product_leaving_the_carrier(leaky_group):
         )
 
 
+class _MiscarryingIntegerGroup(IntegerGroup):
+    """Integer carrier whose closed-form carry drops y's sign at y = 2."""
+
+    name = "Zmiscarry"
+
+    def carry(self, x, y, z):
+        return x + y + z if y == 2 else x - y + z
+
+
+def test_group_laws_catch_a_wrong_carry():
+    # products, nat_leq and the solvers run on carry, so the law that ties
+    # it to mul and inv fails first, and the shift oracle disagrees too
+    report = run_suites(SuiteConfig(group=_MiscarryingIntegerGroup(), window=3))
+    by_name = {c.name: c for c in report.checks}
+    laws = by_name["group-laws"]
+    assert (laws.status, laws.cases, laws.counterexample) == (
+        "fail", 36, "carry law broke at -3, 2, -3"
+    )
+    assert by_name["rep-soundness"].status == "fail"
+
+
 def test_reports_are_deterministic():
     cfg = SuiteConfig(group="ZxZ", window=2, sample_seed=7)
     a = json.dumps(_strip_wall(run_suites(cfg).to_json()), sort_keys=True)
