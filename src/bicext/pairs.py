@@ -9,8 +9,9 @@ predicate, not a separate class.
 Payloads are validated at the boundary only: the public constructor,
 ``idempotent`` and the literal parser check them with ``contains``.
 Products, inverses and solver results are built unchecked, because a
-carrier is closed under its own ``mul`` and ``inv``; the ``group-laws``
-suite check guards that closure on every carrier it runs over.
+carrier is closed under its own ``mul``, ``inv`` and ``carry``; the
+``group-laws`` suite check guards that closure on every carrier it runs
+over.
 
 Every value, checked or not, is filled the same way, by ``_make`` or
 its inline copy in ``__mul__``: plain attribute stores on a
