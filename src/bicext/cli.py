@@ -7,18 +7,11 @@ literals, operations invoked outside their stated domain) and for results
 too long to render.  JSON output is schema-stable and sorted; text output
 is for reading.
 
-The first string of a command line selects the command.  When every
-later string is an exact token (a full option string with its value, a
-flag, or a positional, none of the values starting with ``-``; see
-``_parse_exact``), the command's table builds the namespace with no
-argparse pass.  Any other line after a command name (help, ``--opt=value``,
-abbreviations, ``--``, values such as ``-3``, interleaved positionals and
-every usage error) takes one argparse pass with the command's parser; the
-top-level parser answers only help and usage errors (no command, ``-h``,
-an unknown name, an option before the command).  Parsers and tables are
-built once, on the first ``main`` call, and shared by every later call;
-see ``build_parser`` for why that is safe.  Each answer is built only in
-the form ``--output`` asks for.
+A command name followed only by exact tokens (see ``_parse_exact``) is
+read by that command's table, with no argparse pass; every other line
+goes to ``parse_args``.  Parsers and tables are built once, on the first
+``main`` call; see ``build_parser``.  Each answer is built only in the
+form ``--output`` asks for.
 """
 
 from __future__ import annotations
@@ -376,8 +369,8 @@ def _parse_exact(table: tuple, strings: list) -> Optional[argparse.Namespace]:
 
 @functools.cache
 def _parsers() -> tuple:
-    """The top-level parser, its command table and each command parser's
-    exact-token table (see ``_exact_table``), built once; see build_parser."""
+    """The top-level parser and each command's exact-token table (see
+    ``_exact_table``) by command name, built once; see build_parser."""
     common = argparse.ArgumentParser(add_help=False)
     shared = [
         common.add_argument("--group", default="Z", choices=sorted(GROUPS)),
@@ -451,9 +444,8 @@ def _parsers() -> tuple:
     add(p, "--suites", default="all")
     p.set_defaults(fn=_cmd_check)
 
-    # the name-to-parser mapping add_subparsers fills, captured here so
-    # main can look a command up without argparse's private attributes
-    return parser, sub.choices, {p: _exact_table(p, a) for p, a in actions.items()}
+    # each command parser's prog is "bicext <name>"
+    return parser, {p.prog.split()[-1]: _exact_table(p, a) for p, a in actions.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,42 +455,22 @@ def build_parser() -> argparse.ArgumentParser:
     it.  Reuse is safe because ``parse_args`` returns a fresh namespace,
     no action has a mutable default, and argparse looks up
     ``sys.stdout``/``sys.stderr`` when it prints, not when it is built.
-    The command parsers are built with it, once, together with one
-    exact-token table per command.  ``main`` parses a command line whose
-    first string names a command with that table when every later string
-    is an exact token (see ``_parse_exact``), and otherwise with that
-    command's parser alone; the top-level parser answers only help and
-    usage errors.
+    The command tables are built with it, once.  ``main`` reads a command
+    name followed only by exact tokens with that command's table (see
+    ``_parse_exact``) and every other line with ``parse_args``.
     """
     return _parsers()[0]
 
 
 def _parse_command_line(argv: list) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, apart from the namespace's
-    ``command``, which nothing reads.
-
-    When ``argv[0]`` names a command and every later string is an exact
-    token, the command's table builds the namespace with no argparse pass.
-    Any other line after a command name takes one pass: the top-level pass
-    would hand the command's parser exactly ``argv[1:]`` (its positional
-    consumes every later string, ``--`` included and unstripped), so this
-    parses ``argv[1:]`` with that parser and reports leftover strings with
-    the top-level parser's message, as ``parse_args`` does.  Any other
-    first string (none, ``-h``, an unknown name, an option before the
-    command) goes through the top-level parser, which only ever prints help
-    or a usage error for it.
-    """
-    parser, commands, tables = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _parse_exact(tables[command], argv[1:])
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    ``command``, which nothing reads: a command name followed only by exact
+    tokens is read by that command's table with no argparse pass, and every
+    other line by ``parse_args``."""
+    parser, tables = _parsers()
+    table = tables.get(argv[0]) if argv else None
+    args = None if table is None else _parse_exact(table, argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def _exceeds_digit_limit(exc: ValueError) -> bool:

@@ -19,9 +19,9 @@ case per tuple tried, across the clauses in order, up to and including
 the first counterexample; a tuple whose predicate raises a library
 error is that counterexample.  Seeded draws happen lazily, in turn.  A
 solver or sandwich case is one sample, a shift case one shift or shift
-pair, a witness case one chain.  Four checks count their own cases:
-``noncommutative-witness`` stops at its first witness, ``bicyclic-presentation``
-counts relations and pool pairs, and ``cone-axioms`` and ``density-probe``
+pair, a witness case one chain, a presentation case one relation or
+pool pair.  Three checks count their own cases: ``noncommutative-witness``
+stops at its first witness, and ``cone-axioms`` and ``density-probe``
 each report one library verdict.
 """
 
@@ -461,16 +461,13 @@ def c_bicyclic_presentation(ctx: _Ctx) -> Outcome:
     p = BElement(g, 0, 1)
     q = BElement(g, 1, 0)
     unit = BElement(g, 0, 0)
-    if p * q != unit:
-        return "fail", 1, "p*q is not the unit"
-    if q * p == unit or q * p != BElement(g, 1, 1):
-        return "fail", 2, "q*p did not collapse to the (1,1) idempotent"
-    cases = 2
-    for s in ctx.pairs(bplus=True):
-        cases += 1
-        if unit * s != s or s * unit != s:
-            return "fail", cases, f"unit fails to fix {s}"
-    return "pass", cases, None
+    return _forall(
+        ([()], lambda: p * q == unit, lambda: "p*q is not the unit"),
+        ([()], lambda: q * p == BElement(g, 1, 1),
+         lambda: "q*p did not collapse to the (1,1) idempotent"),
+        (zip(ctx.pairs(bplus=True)), lambda s: unit * s == s and s * unit == s,
+         lambda s: f"unit fails to fix {s}"),
+    )
 
 
 def c_no_identity(ctx: _Ctx) -> Outcome:
@@ -757,7 +754,6 @@ def c_shift_bijectivity(ctx: _Ctx) -> Outcome:
 
 def c_witness_chains(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    rng = ctx.rng("witness-chains")
     # chain endpoints are drawn from the same elements the candidate pairs
     # are built over, so both unique solutions are inside the brute window
     coords = ctx.pool_elements()
@@ -774,7 +770,7 @@ def c_witness_chains(ctx: _Ctx) -> Outcome:
         if second != [target]:
             return f"step two of {seed} -> {target} is not unique in the window"
 
-    draws = (tuple(rng.choice(coords) for _ in range(4)) for _ in range(count))
+    draws = _tuples(coords, 4, count, ctx.rng("witness-chains"))
     return _forall((draws, lambda *abcd: not fault(*abcd), fault))
 
 
@@ -912,7 +908,7 @@ def run_suites(cfg: SuiteConfig) -> SuiteReport:
     verdict.  A library error or a checked constructor's ``ValueError``
     raised in a check is recorded as a failure carrying the message; the
     case count runs through the raising tuple, and is 0 for an error raised
-    while the tuples are built or in one of the four checks off ``_forall``.
+    while the tuples are built or in one of the three checks off ``_forall``.
     """
     group = cfg.resolve_group()
     ctx = _Ctx(group, cfg.window, cfg.sample_seed)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bicext import cli
 from bicext.cli import _parse_command_line, build_parser, main
 from bicext.ogroups import GROUPS
 from bicext.suites import SUITES
@@ -51,11 +52,20 @@ def test_solve_sandwich(capsys):
     assert json.loads(out)["element"] == {"left": "5", "right": "7"}
 
 
+def test_solve_missing_known_factors(capsys):
+    code, out, err = run(capsys, "solve", "--target", "[1|2]")
+    assert (code, out, err) == (2, "", "solve needs --known\n")
+    code, out, err = run(capsys, "solve", "--target", "[1|2]", "--side", "sandwich", "--leftk", "[1|5]")
+    assert (code, out, err) == (2, "", "solve --side sandwich needs --leftk and --rightk\n")
+
+
 def test_mul_and_inv(capsys):
     code, out, _ = run(capsys, "mul", "--group", "ZxZ", "[(0,0)|(0,1)]", "[(1,0)|(2,3)]")
     assert code == 0 and out.strip() == "[(1,-1)|(2,3)]"
     code, out, _ = run(capsys, "inv", "[3|5]")
     assert code == 0 and out.strip() == "[5|3]"
+    code, out, err = run(capsys, "inv", "--group", "ZxZ", "[(1,2)|(3,4]")
+    assert (code, out, err) == (2, "", "literal error: expected ')' (offset 10)\n")
 
 
 def test_leq(capsys):
@@ -148,6 +158,16 @@ def test_pmap_check_compose(capsys):
     assert "50625 shift pairs" in err and "budget of 10000" in err
 
 
+def test_pmap_check_compose_reports_a_failing_pair(monkeypatch, capsys):
+    # an oracle that refuses every composite stops the sweep at its first pair
+    monkeypatch.setattr(cli, "compose_pointwise_oracle", lambda *args: False)
+    code, out, _ = run(capsys, "pmap", "check-compose", "--window", "1", "--output", "json")
+    assert code == 1 and json.loads(out) == {"ok": False, "pairs": 1, "points": 3}
+    code, out, _ = run(capsys, "pmap", "check-compose", "--window", "1")
+    assert code == 1
+    assert out == "FAIL: composition of shift -1 -> -1 then shift -1 -> -1 disagrees pointwise\n"
+
+
 def test_pmap_check_compose_pair_budget(capsys):
     # H3 at window 1 has 27 elements, so 729**2 shift pairs: refused at once
     code, out, err = run(capsys, "pmap", "check-compose", "--group", "H3", "--window", "1")
@@ -198,6 +218,16 @@ def test_witness(capsys):
     assert payload["right_translator"] == {"left": "6", "right": "-1"}
     assert payload["intermediate"] == {"left": "0", "right": "7"}
     assert payload["left_translator"] == {"left": "-1", "right": "-4"}
+
+
+def test_witness_text(capsys):
+    code, out, _ = run(capsys, "witness", "--seed", "[0|0]", "--target", "[-3|7]")
+    assert code == 0
+    assert out == (
+        "seed [0|0] -> target [-3|7]\n"
+        "  step one: [0|7] * [6|-1] = [0|0] (unique)\n"
+        "  step two: [-1|-4] * [-3|7] = [0|7] (unique)\n"
+    )
 
 
 def test_escape_table(capsys):
@@ -318,13 +348,21 @@ _EXACT_LINES = [
     ["witness", "--group", "Z", "--seed", "[0|0]", "--target", "[-3|7]"],
     ["escape", "--group", "Z", "--a", "0", "--window", "4"],
     ["check", "--group", "Z", "--window", "3", "--suites", "all", "--sample-seed", "5"],
+    # an option after the positionals or between options, a repeat (the
+    # last wins), a positional between options
+    ["inv", "[3|5]", "--output", "json"], ["leq", "--s", "[3|5]", "--t", "[1|3]", "--s", "[1|1]"],
+    ["pmap", "apply", "--g", "2", "--h", "5", "--x", "3"], ["pmap", "--g", "2", "apply", "--h", "5"],
+    ["check", "--suites", "ideals", "--sample-seed", "3"],
+    # the two shapes of the benchmark's CLI requests
+    ["mul", "--group", "Q", "--output", "json", "[-1/2|3]", "[7/3|-4]"],
+    ["leq", "--group", "H3", "--output", "json",
+     "--s", f"[(1,{'9' * 40},-3)|(0,2,5)]", "--t", "[(-4,0,7)|(2,-1,0)]"],
 ]
 
 
 def test_each_command_line_is_parsed_once(monkeypatch, capsys):
     # counts argparse passes, not time: a line of exact tokens is read by
-    # its command's table with no pass, any other line after a command
-    # name by that command's parser alone
+    # its command's table with no pass, any other line by parse_args alone
     passes = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -336,16 +374,28 @@ def test_each_command_line_is_parsed_once(monkeypatch, capsys):
     assert main(["mul", "[1|2]", "[3|4]"]) == 0
     assert main(["leq", "--s", "[3|5]", "--t", "[1|3]"]) == 0
     assert passes == []
-    assert main(["leq", "--s=[3|5]", "--t", "[1|3]"]) == 0
-    assert passes == ["bicext leq"]
+    argv = ["leq", "--s=[3|5]", "--t", "[1|3]"]
+    build_parser().parse_args(argv)
+    assert passes == ["bicext", "bicext leq"]
+    del passes[:]
+    assert main(argv) == 0
+    assert passes == ["bicext", "bicext leq"]
     with pytest.raises(SystemExit) as exc:
         main(["mul", "--group", "Nope", "[1|1]", "[1|1]"])
     assert exc.value.code == 2
-    # a line in exact tokens takes no pass on any command
-    del passes[:]
+    # a line in exact tokens takes no pass on any command; every line the
+    # table declines takes exactly the passes of parse_args
     for argv in _EXACT_LINES:
+        del passes[:]
         _parse_command_line(argv)
-    assert passes == []
+        assert passes == [], argv
+    for argv in _PARSER_EDGES:
+        del passes[:]
+        _parse_outcome(build_parser().parse_args, argv)
+        expected = passes[:]
+        del passes[:]
+        _parse_outcome(_parse_command_line, argv)
+        assert passes == expected != [], argv
     capsys.readouterr()
 
 
@@ -454,9 +504,9 @@ def _parse_outcome(parse, argv):
     return parsed, out.getvalue(), err.getvalue()
 
 
-# argparse behaviours the one-pass parse relies on: help and usage errors
-# from the top-level parser, option abbreviations, `--` handed on
-# unstripped, leftover strings and bad choices reported as before
+# lines the exact-token table must decline, so parse_args answers them:
+# help and usage errors, option abbreviations, `--`, leftover strings,
+# bad choices and values starting with "-"
 _PARSER_EDGES = [
     [], ["-h"], ["--help"], ["--"], ["nope"], ["MUL", "[1|2]", "[3|4]"], ["-x", "mul"],
     ["--group", "Z", "mul", "[1|2]", "[3|4]"], ["--", "mul", "[1|2]", "[3|4]"],
@@ -464,17 +514,15 @@ _PARSER_EDGES = [
     ["mul", "[1|2]", "--", "[3|4]"], ["mul", "--", "--", "[1|2]"], ["mul", "[1|2]", "[3|4]", "extra"],
     ["mul", "[1|2]", "[3|4]", "--x", "1", "-y"], ["mul", "--group", "Nope", "[1|1]", "[1|1]"],
     ["mul", "--gr", "ZxZ", "[(0,0)|(0,1)]", "[(1,0)|(2,3)]"], ["mul", "--output", "xml", "[1|2]", "[3|4]"],
-    ["mul", "[1|2]", "[3|4]", "--window=abc"], ["inv", "[3|5]", "--output", "json"],
+    ["mul", "[1|2]", "[3|4]", "--window=abc"],
     ["upset", "--window"], ["upset", "--base", "[2|3]", "--window", "2", "--", "x"],
     ["leq", "--s=[3|5]", "--t", "[1|3]"], ["leq", "--s=[3|5]"],
-    ["leq", "--s", "[3|5]", "--t", "[1|3]", "--s", "[1|1]"], ["pmap", "bogus"],
-    ["pmap", "apply", "--g", "2", "--h", "5", "--x", "3"], ["solve", "--side", "up", "--target", "[1|2]"],
-    ["check", "--suites", "ideals", "--sample-seed", "3"],
+    ["pmap", "bogus"], ["solve", "--side", "up", "--target", "[1|2]"],
     # argparse reads -3 as a value, since no option looks like a negative
     # number, but refuses -3/4; the table leaves both to argparse
     ["ideal", "--element", "[3|1]", "--anchor", "-3"],
     ["ideal", "--element", "[3|1]", "--anchor", "-3/4"],
-    ["mul", "[1|2]", "--group", "Z", "[3|4]"], ["pmap", "--g", "2", "apply", "--h", "5"],
+    ["mul", "[1|2]", "--group", "Z", "[3|4]"],
     ["leq", "--s", "[3|5]"], ["upset", "--base", "[2|3]", "--window", "abc"],
 ]
 

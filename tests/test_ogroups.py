@@ -14,6 +14,9 @@ from bicext.ogroups import (
     Q,
     Z,
     ZXZ,
+    ConeVerdict,
+    HeisenbergGroup,
+    IntegerGroup,
     OrderedGroup,
     check_positive_cone_axioms,
     normalize_bounds,
@@ -286,6 +289,34 @@ def test_cone_axioms_fail_on_broken_instance(broken_group):
     assert not verdict.axiom1_ok
     assert verdict.counterexample == (1, 1)
     assert not verdict.all_ok
+
+
+class _AbsoluteOrder(IntegerGroup):
+    """Z ordered by |g|, ties broken by sign: every element is positive."""
+
+    def cmp(self, g, h):
+        a, b = (abs(g), g), (abs(h), h)
+        return (a > b) - (a < b)
+
+
+class _XZYOrder(HeisenbergGroup):
+    """H3 ordered lexicographically by (x, z, y): conjugation shifts the z
+    coordinate, which this order ranks above y, so the cone is not stable
+    under it."""
+
+    def cmp(self, g, h):
+        a, b = (g[0], g[2], g[1]), (h[0], h[2], h[1])
+        return (a > b) - (a < b)
+
+
+def test_cone_axioms_catch_a_cone_meeting_its_inverses():
+    verdict = check_positive_cone_axioms(_AbsoluteOrder(), Z.elements(3))
+    assert verdict == ConeVerdict(True, False, True, (-3, 3))
+
+
+def test_cone_axioms_catch_a_cone_unstable_under_conjugation():
+    verdict = check_positive_cone_axioms(_XZYOrder(), H3.elements(1))
+    assert verdict == ConeVerdict(True, True, False, ((-1, -1, -1), (0, -1, 1)))
 
 
 def test_cone_verdict_counterexample_only_on_failure(any_group):

@@ -192,7 +192,7 @@ def test_failure_paths_on_tampered_carrier(broken_group):
 
 # Existential, or one library verdict over a whole sample set: the only
 # checks that count their own cases.
-OFF_FORALL = {"noncommutative-witness", "bicyclic-presentation", "cone-axioms", "density-probe"}
+OFF_FORALL = {"noncommutative-witness", "cone-axioms", "density-probe"}
 
 
 @pytest.mark.parametrize("group, window", [("Z", 2), ("Q", 1), ("ZxZ", 1), ("H3", 1)])
