@@ -189,7 +189,9 @@ def escape_region(
     window elements at or below the anchor are listed.  Raises
     NotApplicable when the carrier cannot be enumerated.
     """
-    return _OffDiagonal([x for x in group.elements(bounds) if group.leq(x, anchor)])
+    if not group.enumerable:
+        raise NotApplicable(f"{group.name} is not enumerable")
+    return _OffDiagonal([x for x in group.window(bounds) if group.leq(x, anchor)])
 
 
 def escape_certificate(idem_pair: BElement, point: BElement) -> EscapeCertificate:

@@ -39,10 +39,10 @@ from .pairs import BElement
 from .shifts import PartialShift, compose_pointwise_oracle
 from .suites import SuiteConfig, run_suites
 
-# most a window command may handle: the window elements `upset` walks
-# (H3 at window 10 has 9,261), the window pairs `escape` covers (ZxZ at
-# window 4 has 6,561), or the shift pairs `pmap check-compose` sweeps
-# (ZxZ at window 1 needs 6,561)
+# most a window command may handle: the window elements `upset` walks or
+# `check` builds (H3 at window 10 has 9,261), the window pairs `escape`
+# covers (ZxZ at window 4 has 6,561), or the shift pairs
+# `pmap check-compose` sweeps (ZxZ at window 1 needs 6,561)
 WINDOW_BUDGET = 10_000
 
 
@@ -283,6 +283,12 @@ def _cmd_escape(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    group = GROUPS[args.group]
+    elems = _window_elements(group, args.window)
+    if not group.enumerable:
+        elems **= 2  # bounds Q's grid, as in `escape`
+    if elems > WINDOW_BUDGET:
+        return _refuse_window("check", args.window, f"build {elems} window elements")
     if args.suites in ("all", ""):
         suites: tuple = ()
     else:

@@ -240,7 +240,7 @@ def up_set_window(base: BElement, bounds: Bounds, bplus: bool = False) -> List[B
     g = base.group
     if not g.enumerable:
         raise NotApplicable(f"{g.name} windows cannot be enumerated")
-    elems = g.elements(bounds)
+    elems = g.window(bounds)
     in_window = set(elems)
     top = base.left
     members = []

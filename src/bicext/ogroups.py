@@ -113,14 +113,15 @@ class OrderedGroup:
         """Strictly intermediate element; only dense carriers provide one."""
         raise NotApplicable(f"{self.name} provides no midpoint witness")
 
-    def elements(self, bounds: Bounds) -> List[Element]:
-        """All carrier elements whose integer coordinates lie in the window."""
-        raise NotApplicable(f"{self.name} is not enumerable")
-
     def window(self, bounds: Bounds) -> List[Element]:
-        """The finite stand-in for the carrier that windowed work runs on:
-        ``elements(bounds)`` unless the carrier overrides it."""
-        return self.elements(bounds)
+        """The finite stand-in for the carrier that windowed work runs on.
+
+        On an enumerable carrier, every element whose integer coordinates
+        lie in the window; on Q, a grid of fractions.  Either way the list
+        ascends strictly under ``cmp``, so the positive cone is a suffix of
+        it.  A carrier that defines no window is not enumerable.
+        """
+        raise NotApplicable(f"{self.name} is not enumerable")
 
     def render(self, x: Element) -> str:
         """Canonical literal; ``str`` of the payload unless overridden."""
@@ -196,7 +197,7 @@ class IntegerGroup(OrderedGroup):
     def predecessor(self, g):
         return g - 1
 
-    def elements(self, bounds: Bounds) -> List[int]:
+    def window(self, bounds: Bounds) -> List[int]:
         lo, hi = normalize_bounds(bounds)
         return list(range(lo, hi + 1))
 
@@ -284,7 +285,7 @@ def _fraction(n: int, d: int) -> Fraction:
 class LexTupleGroup(OrderedGroup):
     """Integer tuples of a fixed arity, ordered lexicographically.
 
-    The order, identity, successor and enumeration depend on the arity
+    The order, identity, successor and window depend on the arity
     alone, so they live here.  Each subclass keeps its own ``mul``,
     ``inv``, ``contains`` and ``render`` written out for its arity: these
     sit on the hot path, and generic tuple loops cost about twice as much.
@@ -308,7 +309,7 @@ class LexTupleGroup(OrderedGroup):
     def designated_positive(self) -> Tuple[int, ...]:
         return (0,) * (self.payload_arity - 1) + (1,)
 
-    def elements(self, bounds: Bounds) -> List[Tuple[int, ...]]:
+    def window(self, bounds: Bounds) -> List[Tuple[int, ...]]:
         lo, hi = normalize_bounds(bounds)
         return list(itertools.product(range(lo, hi + 1), repeat=self.payload_arity))
 
@@ -442,20 +443,16 @@ def check_positive_cone_axioms(
     return ConeVerdict(ax1, ax2, ax3, counter)
 
 
-def window_around(group: OrderedGroup, g: Element, radius: int) -> List[Element]:
-    """Right translates of ``g`` by every offset in the symmetric window."""
-    return [group.mul(g, d) for d in group.elements(radius)]
-
-
 def successor_check(group: OrderedGroup, g: Element, radius: int = 4) -> bool:
     """Verify the successor is the least element above ``g`` on a finite window.
 
-    Within the window around ``g``, the cone at ``g`` minus the cone at
-    ``successor(g)`` must be exactly ``{g}``.  Raises NotApplicable on
-    densely ordered carriers, which declare no successor.
+    Among the right translates of ``g`` by the window at ``radius``, the
+    cone at ``g`` minus the cone at ``successor(g)`` must be exactly
+    ``{g}``.  Raises NotApplicable on densely ordered carriers, which
+    declare no successor.
     """
     succ = group.successor(g)
-    for x in window_around(group, g, radius):
+    for x in (group.mul(g, d) for d in group.window(radius)):
         in_gap = group.leq(g, x) and not group.leq(succ, x)
         if in_gap != (x == g):
             return False

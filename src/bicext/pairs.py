@@ -139,9 +139,7 @@ def pairs_over(group: OrderedGroup, elems: Sequence[Element], bplus: bool = Fals
 
 
 def pairs_in_window(group: OrderedGroup, bounds: Bounds, bplus: bool = False) -> List[BElement]:
-    """Every pair with both payload coordinates inside the window.
-
-    Enumeration order is the group's own element order, left coordinate
-    first, so repeated calls list pairs identically.
-    """
-    return pairs_over(group, group.elements(bounds), bplus)
+    """Every pair over the carrier's ``window(bounds)`` (on Q, its grid),
+    in window order, left coordinate first, so repeated calls list pairs
+    identically."""
+    return pairs_over(group, group.window(bounds), bplus)

@@ -13,10 +13,11 @@ solver answer.  The memo lives in the check's locals, so verdicts and
 counterexamples are those of the per-sample scan, and a check's
 carrier-op cost does not depend on which checks ran before it.
 
-Checks are ``_forall`` clauses: tuples, a predicate that must hold on
-each, and a message for a tuple where it fails.  ``_forall`` counts one
-case per tuple tried, across the clauses in order, up to and including
-the first counterexample; a tuple whose predicate raises a library
+Checks are ``_forall`` clauses ``(tuples, fault)``: ``fault(*args)`` is
+falsy on a tuple where the claim holds and is the counterexample text
+where it fails, and it runs once per tuple.  ``_forall`` counts one case
+per tuple tried, across the clauses in order, up to and including the
+first counterexample; a tuple whose fault function raises a library
 error is that counterexample.  Seeded draws happen lazily, in turn.  A
 solver or sandwich case is one sample, a shift case one shift or shift
 pair, a witness case one chain, a presentation case one relation or
@@ -163,23 +164,23 @@ class SuiteReport:
 
 
 class _Ctx:
-    """Shared per-run state: carrier, window, seeded deterministic sampling."""
+    """Shared per-run state: carrier, window radius, seeded deterministic sampling."""
 
-    def __init__(self, group: OrderedGroup, window: int, seed: int):
+    def __init__(self, group: OrderedGroup, radius: int, seed: int):
         self.group = group
-        self.window = window
+        self.radius = radius
         self.seed = seed
         self._pools: Dict[tuple, List[BElement]] = {}
 
     def rng(self, label: str) -> random.Random:
-        return random.Random(f"{self.seed}:{self.group.name}:{self.window}:{label}")
+        return random.Random(f"{self.seed}:{self.group.name}:{self.radius}:{label}")
 
-    def elements(self, bounds=None) -> List:
-        return self.group.window(self.window if bounds is None else bounds)
+    def window(self, bounds=None) -> List:
+        return self.group.window(self.radius if bounds is None else bounds)
 
     def pool_elements(self, margin: int = 0) -> List:
         """Window elements, thinned deterministically when pairing would explode."""
-        elems = self.elements(self.window + margin)
+        elems = self.window(self.radius + margin)
         return _subset(elems, MAX_ELEMENT_POOL, self.rng(f"element-pool:{margin}"))
 
     def pairs(self, bplus: bool = False, margin: int = 0) -> List[BElement]:
@@ -239,21 +240,22 @@ def _rows_once(keys: Sequence, build: Callable) -> Iterable:
 Outcome = Tuple[str, int, Optional[str]]
 
 
-def _forall(*clauses: Tuple[Iterable[tuple], Callable[..., bool], Callable[..., str]]) -> Outcome:
-    """Check ``holds(*args)`` on each clause's ``tuples`` in turn; the first
-    failing ``args`` fails the check with ``describe(*args)``.  A library
-    error or payload ``ValueError`` raised by ``holds`` fails it at that
-    tuple, with the text ``run_suites`` gives an error a check raises."""
+def _forall(*clauses: Tuple[Iterable[tuple], Callable[..., Optional[str]]]) -> Outcome:
+    """Call ``fault(*args)`` once on each tuple of each ``(tuples, fault)``
+    clause in turn: falsy where the claim holds, the counterexample text
+    where it fails, and the first text fails the check.  A library error or
+    payload ``ValueError`` raised by ``fault`` fails it at that tuple, with
+    the text ``run_suites`` gives an error a check raises."""
     cases = 0
-    for tuples, holds, describe in clauses:
+    for tuples, fault in clauses:
         for args in tuples:
             cases += 1
             try:
-                ok = holds(*args)
+                counter = fault(*args)
             except (BicextError, ValueError) as exc:
                 return "fail", cases, _raised(exc)
-            if not ok:
-                return "fail", cases, describe(*args)
+            if counter:
+                return "fail", cases, counter
     return "pass", cases, None
 
 
@@ -270,7 +272,7 @@ def c_group_laws(ctx: _Ctx) -> Outcome:
     # this check is also the guard that mul, inv and carry never leave the
     # carrier; it holds carry to the mul and inv it stands for
     g = ctx.group
-    elems = ctx.elements()
+    elems = ctx.window()
     e = g.identity
 
     def triple_fault(a, b, c):
@@ -294,50 +296,44 @@ def c_group_laws(ctx: _Ctx) -> Outcome:
             return f"inverse law broke at {g.render(a)}"
 
     return _forall(
-        (_tuples(elems, 3, 4000, ctx.rng("group-laws")), lambda *abc: not triple_fault(*abc), triple_fault),
-        (zip(elems), lambda a: not unit_fault(a), unit_fault),
+        (_tuples(elems, 3, 4000, ctx.rng("group-laws")), triple_fault),
+        (zip(elems), unit_fault),
     )
 
 
 def c_order_trichotomy(ctx: _Ctx) -> Outcome:
     g = ctx.group
 
-    def consistent(a, b):
+    def fault(a, b):
         v = g.cmp(a, b)
-        return v in (-1, 0, 1) and v == -g.cmp(b, a) and (v == 0) == (a == b)
+        if not (v in (-1, 0, 1) and v == -g.cmp(b, a) and (v == 0) == (a == b)):
+            return f"cmp inconsistent at {g.render(a)}, {g.render(b)}"
 
-    return _forall((
-        _tuples(ctx.elements(), 2, 6000, ctx.rng("trichotomy")),
-        consistent,
-        lambda a, b: f"cmp inconsistent at {g.render(a)}, {g.render(b)}",
-    ))
+    return _forall((_tuples(ctx.window(), 2, 6000, ctx.rng("trichotomy")), fault))
 
 
 def c_order_transitivity(ctx: _Ctx) -> Outcome:
     g = ctx.group
     return _forall((
-        _tuples(ctx.elements(), 3, 6000, ctx.rng("transitivity")),
-        lambda a, b, c: not (g.leq(a, b) and g.leq(b, c)) or g.leq(a, c),
-        lambda a, b, c: f"transitivity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}",
+        _tuples(ctx.window(), 3, 6000, ctx.rng("transitivity")),
+        lambda a, b, c: g.leq(a, b) and g.leq(b, c) and not g.leq(a, c)
+        and f"transitivity broke at {g.render(a)}, {g.render(b)}, {g.render(c)}",
     ))
 
 
 def c_order_bi_invariance(ctx: _Ctx) -> Outcome:
     g = ctx.group
 
-    def invariant(a, b, t):
-        return not g.lt(a, b) or (g.lt(g.mul(a, t), g.mul(b, t)) and g.lt(g.mul(t, a), g.mul(t, b)))
+    def fault(a, b, t):
+        if g.lt(a, b) and not (g.lt(g.mul(a, t), g.mul(b, t)) and g.lt(g.mul(t, a), g.mul(t, b))):
+            return f"translation broke {g.render(a)} < {g.render(b)} by {g.render(t)}"
 
-    return _forall((
-        _tuples(ctx.elements(), 3, 6000, ctx.rng("bi-invariance")),
-        invariant,
-        lambda a, b, t: f"translation broke {g.render(a)} < {g.render(b)} by {g.render(t)}",
-    ))
+    return _forall((_tuples(ctx.window(), 3, 6000, ctx.rng("bi-invariance")), fault))
 
 
 def c_cone_axioms(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    elems = _subset(ctx.elements(), 64, ctx.rng("cone-axioms"))
+    elems = _subset(ctx.window(), 64, ctx.rng("cone-axioms"))
     verdict = check_positive_cone_axioms(g, elems)
     cases = len(elems) * len(elems)
     if verdict.all_ok:
@@ -363,11 +359,11 @@ def c_successor_minimality(ctx: _Ctx) -> Outcome:
     g = ctx.group
     if g.densely_ordered:
         return "not-applicable", 0, None
-    radius = min(ctx.window, 3)
+    radius = min(ctx.radius, 3)
     return _forall((
-        zip(_subset(ctx.elements(), 50, ctx.rng("succ-min"))),
-        lambda a: successor_check(g, a, radius=radius),
-        lambda a: f"successor not minimal above {g.render(a)}",
+        zip(_subset(ctx.window(), 50, ctx.rng("succ-min"))),
+        lambda a: not successor_check(g, a, radius=radius)
+        and f"successor not minimal above {g.render(a)}",
     ))
 
 
@@ -382,7 +378,7 @@ def c_succ_pred_roundtrip(ctx: _Ctx) -> Outcome:
         if not g.lt(a, g.successor(a)):
             return f"successor not above {g.render(a)}"
 
-    return _forall((zip(ctx.elements()), lambda a: not fault(a), fault))
+    return _forall((zip(ctx.window()), fault))
 
 
 def c_density_witness(ctx: _Ctx) -> Outcome:
@@ -390,9 +386,9 @@ def c_density_witness(ctx: _Ctx) -> Outcome:
     if not g.densely_ordered:
         return "not-applicable", 0, None
     return _forall((
-        (ab for ab in _tuples(ctx.elements(), 2, 4000, ctx.rng("density")) if g.lt(*ab)),
-        lambda a, b: g.lt(a, m := g.between(a, b)) and g.lt(m, b),
-        lambda a, b: f"no midpoint between {g.render(a)} and {g.render(b)}",
+        (ab for ab in _tuples(ctx.window(), 2, 4000, ctx.rng("density")) if g.lt(*ab)),
+        lambda a, b: not (g.lt(a, m := g.between(a, b)) and g.lt(m, b))
+        and f"no midpoint between {g.render(a)} and {g.render(b)}",
     ))
 
 
@@ -401,7 +397,7 @@ def c_noncommutative_witness(ctx: _Ctx) -> Outcome:
     if g.abelian:
         return "not-applicable", 0, None
     cases = 0
-    for a, b in _tuples(ctx.elements(), 2, 4000, ctx.rng("noncomm")):
+    for a, b in _tuples(ctx.window(), 2, 4000, ctx.rng("noncomm")):
         cases += 1
         if g.mul(a, b) != g.mul(b, a):
             return "pass", cases, None
@@ -414,8 +410,7 @@ def c_noncommutative_witness(ctx: _Ctx) -> Outcome:
 def c_pair_associativity(ctx: _Ctx) -> Outcome:
     return _forall((
         _tuples(ctx.pairs(), 3, BUDGET // 3, ctx.rng("pair-assoc")),
-        lambda s, t, u: (s * t) * u == s * (t * u),
-        lambda s, t, u: f"associativity broke at {s}, {t}, {u}",
+        lambda s, t, u: (s * t) * u != s * (t * u) and f"associativity broke at {s}, {t}, {u}",
     ))
 
 
@@ -433,24 +428,22 @@ def c_pair_inverse_unique(ctx: _Ctx) -> Outcome:
             if t != inv and s * t * s == s and t * s * t == t:
                 return f"second inverse {t} found for {s}"
 
-    return _forall((zip(probes), lambda s: not fault(s), fault))
+    return _forall((zip(probes), fault))
 
 
 def c_idempotents_commute(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    idems = [idempotent(g, x) for x in ctx.elements()]
+    idems = [idempotent(g, x) for x in ctx.window()]
     return _forall((
         _tuples(idems, 2, 6000, ctx.rng("idem-commute")),
-        lambda e, f: e * f == f * e,
-        lambda e, f: f"idempotents {e} and {f} do not commute",
+        lambda e, f: e * f != f * e and f"idempotents {e} and {f} do not commute",
     ))
 
 
 def c_bplus_closure(ctx: _Ctx) -> Outcome:
     return _forall((
         _tuples(ctx.pairs(bplus=True), 2, BUDGET // 2, ctx.rng("bplus-closure")),
-        lambda s, t: (s * t).in_bplus(),
-        lambda s, t: f"product {s} * {t} left the positive part",
+        lambda s, t: not (s * t).in_bplus() and f"product {s} * {t} left the positive part",
     ))
 
 
@@ -462,11 +455,11 @@ def c_bicyclic_presentation(ctx: _Ctx) -> Outcome:
     q = BElement(g, 1, 0)
     unit = BElement(g, 0, 0)
     return _forall(
-        ([()], lambda: p * q == unit, lambda: "p*q is not the unit"),
-        ([()], lambda: q * p == BElement(g, 1, 1),
-         lambda: "q*p did not collapse to the (1,1) idempotent"),
-        (zip(ctx.pairs(bplus=True)), lambda s: unit * s == s and s * unit == s,
-         lambda s: f"unit fails to fix {s}"),
+        ([()], lambda: p * q != unit and "p*q is not the unit"),
+        ([()], lambda: q * p != BElement(g, 1, 1)
+         and "q*p did not collapse to the (1,1) idempotent"),
+        (zip(ctx.pairs(bplus=True)),
+         lambda s: (unit * s != s or s * unit != s) and f"unit fails to fix {s}"),
     )
 
 
@@ -478,7 +471,7 @@ def c_no_identity(ctx: _Ctx) -> Outcome:
     # probes come from a window one step wider than the candidates, so the
     # corner idempotents below and above every candidate always exist;
     # putting them first makes each scan terminate almost immediately
-    wide = ctx.elements(ctx.window + 1)
+    wide = ctx.window(ctx.radius + 1)
     corners = [idempotent(g, wide[0]), idempotent(g, wide[-1])]
     probes = corners + ctx.pairs(margin=1)
     last = len(probes) - 1
@@ -494,8 +487,7 @@ def c_no_identity(ctx: _Ctx) -> Outcome:
 
     return _forall((
         tries(),
-        lambda cand, cleared: cleared,
-        lambda cand, cleared: f"{cand} fixed every probe (identity-like)",
+        lambda cand, cleared: not cleared and f"{cand} fixed every probe (identity-like)",
     ))
 
 
@@ -505,16 +497,16 @@ def c_no_identity(ctx: _Ctx) -> Outcome:
 def c_natleq_vs_oracle(ctx: _Ctx) -> Outcome:
     return _forall((
         _tuples(ctx.pairs(), 2, 1200, ctx.rng("natleq-oracle")),
-        lambda s, t: nat_leq(s, t) == nat_leq_oracle(s, t),
-        lambda s, t: f"order test and oracle disagree on {s}, {t}",
+        lambda s, t: nat_leq(s, t) != nat_leq_oracle(s, t)
+        and f"order test and oracle disagree on {s}, {t}",
     ))
 
 
 def c_natleq_clause_duality(ctx: _Ctx) -> Outcome:
     return _forall((
         _tuples(ctx.pairs(), 2, 8000, ctx.rng("natleq-dual")),
-        lambda s, t: nat_leq(s, t) == nat_leq_dual(s, t),
-        lambda s, t: f"coordinate clauses disagree on {s}, {t}",
+        lambda s, t: nat_leq(s, t) != nat_leq_dual(s, t)
+        and f"coordinate clauses disagree on {s}, {t}",
     ))
 
 
@@ -522,16 +514,16 @@ def c_natorder_partial_order(ctx: _Ctx) -> Outcome:
     pool = ctx.pairs()
     rng = ctx.rng("partial-order")
     return _forall(
-        (zip(_subset(pool, 3000, rng)), lambda s: nat_leq(s, s), lambda s: f"reflexivity broke at {s}"),
+        (zip(_subset(pool, 3000, rng)), lambda s: not nat_leq(s, s) and f"reflexivity broke at {s}"),
         (
             _tuples(pool, 2, 4000, rng),
-            lambda s, t: not (nat_leq(s, t) and nat_leq(t, s)) or s == t,
-            lambda s, t: f"antisymmetry broke at {s}, {t}",
+            lambda s, t: nat_leq(s, t) and nat_leq(t, s) and s != t
+            and f"antisymmetry broke at {s}, {t}",
         ),
         (
             _tuples(pool, 3, 4000, rng),
-            lambda s, t, u: not (nat_leq(s, t) and nat_leq(t, u)) or nat_leq(s, u),
-            lambda s, t, u: f"transitivity broke at {s}, {t}, {u}",
+            lambda s, t, u: nat_leq(s, t) and nat_leq(t, u) and not nat_leq(s, u)
+            and f"transitivity broke at {s}, {t}, {u}",
         ),
     )
 
@@ -539,7 +531,7 @@ def c_natorder_partial_order(ctx: _Ctx) -> Outcome:
 def c_natorder_compatibility(ctx: _Ctx) -> Outcome:
     g = ctx.group
     pool = ctx.pairs()
-    elems = ctx.elements()
+    elems = ctx.window()
 
     # build comparable pairs directly: everything above s has the same
     # coordinate quotient and a left coordinate at or below s.left
@@ -557,22 +549,19 @@ def c_natorder_compatibility(ctx: _Ctx) -> Outcome:
         if not nat_leq(s * u, t * u) or not nat_leq(u * s, u * t):
             return f"multiplication broke {s} below {t} via {u}"
 
-    return _forall((comparable(), lambda *args: not fault(*args), fault))
+    return _forall((comparable(), fault))
 
 
 def c_triple_factorization(ctx: _Ctx) -> Outcome:
     g = ctx.group
 
-    def factors(a, b, c, d):
+    def fault(a, b, c, d):
         # the factors already checked a and b: compare [a|b] by coordinates
         p = BElement(g, a, c) * BElement(g, c, d) * BElement(g, d, b)
-        return (p.left, p.right) == (a, b)
+        if (p.left, p.right) != (a, b):
+            return f"factorization broke at {','.join(map(g.render, (a, b, c, d)))}"
 
-    return _forall((
-        _tuples(ctx.elements(), 4, 6000, ctx.rng("factorization")),
-        factors,
-        lambda *abcd: f"factorization broke at {','.join(map(g.render, abcd))}",
-    ))
+    return _forall((_tuples(ctx.window(), 4, 6000, ctx.rng("factorization")), fault))
 
 
 # --- solver checks ---------------------------------------------------------
@@ -632,12 +621,12 @@ def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
                 f"do not match {sol.kind.value}"
             )
 
-    return _forall((zip(samples, rows), lambda *args: not fault(*args), fault))
+    return _forall((zip(samples, rows), fault))
 
 
 def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
     g = ctx.group
-    elems = [e for e in ctx.elements() if not bplus or g.is_positive(e)]
+    elems = [e for e in ctx.window() if not bplus or g.is_positive(e)]
     pool = ctx.pairs(bplus=bplus)
     pool_members = set(pool)
     up_set = _up_sets(pool)
@@ -663,7 +652,7 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
                 f"do not match the up-set of {sol.element}"
             )
 
-    return _forall((zip(quads, lefts_of), lambda *args: not fault(*args), fault))
+    return _forall((zip(quads, lefts_of), fault))
 
 
 # --- ideal checks -----------------------------------------------------------
@@ -672,15 +661,19 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
 def c_ideal_membership(ctx: _Ctx) -> Outcome:
     g = ctx.group
     rng = ctx.rng("ideal-membership")
-    anchors = _subset(ctx.elements(), 5, rng)
+    anchors = _subset(ctx.window(), 5, rng)
     probes = _subset(ctx.pairs(), 40, rng)
 
-    def agree(s, anchor, side, bplus):
+    def fault(s, anchor, side, bplus):
         # for an idempotent e, s is in e*S exactly when e*s == s (S*e alike),
         # so the probe is its own canonical witness
         e = idempotent(g, anchor)
         exists = (not bplus or s.in_bplus()) and (e * s if side == "right" else s * e) == s
-        return ideal_member(s, anchor, side, bplus=bplus) == exists
+        if ideal_member(s, anchor, side, bplus=bplus) != exists:
+            return (
+                f"ideal test disagrees with brute force: {s}, "
+                f"anchor {g.render(anchor)}, {side}, bplus={bplus}"
+            )
 
     return _forall((
         (
@@ -691,11 +684,7 @@ def c_ideal_membership(ctx: _Ctx) -> Outcome:
             for bplus in (False, True)
             if not bplus or g.is_positive(anchor)
         ),
-        agree,
-        lambda s, anchor, side, bplus: (
-            f"ideal test disagrees with brute force: {s}, "
-            f"anchor {g.render(anchor)}, {side}, bplus={bplus}"
-        ),
+        fault,
     ))
 
 
@@ -705,30 +694,30 @@ def c_ideal_membership(ctx: _Ctx) -> Outcome:
 def c_rep_soundness(ctx: _Ctx) -> Outcome:
     return _forall((
         _tuples(ctx.pairs(), 2, 6000, ctx.rng("rep-soundness")),
-        pair_product_matches_shifts,
-        lambda s, t: f"pair product and shift composite split on {s}, {t}",
+        lambda s, t: not pair_product_matches_shifts(s, t)
+        and f"pair product and shift composite split on {s}, {t}",
     ))
 
 
 def c_pointwise_composition(ctx: _Ctx) -> Outcome:
     g = ctx.group
     rng = ctx.rng("pointwise")
-    anchors = ctx.elements()
-    w = ctx.window
-    points = _subset(ctx.elements((-w, 2 * w)), 15, rng)
+    anchors = ctx.window()
+    w = ctx.radius
+    points = _subset(ctx.window((-w, 2 * w)), 15, rng)
     shifts = [PartialShift(g, a, b) for a, b in _tuples(anchors, 2, 60, rng)]
     return _forall((
         _tuples(shifts, 2, 500, rng),
-        lambda m1, m2: compose_pointwise_oracle(m1, m2, points),
-        lambda m1, m2: f"pointwise composition broke for {m1} then {m2}",
+        lambda m1, m2: not compose_pointwise_oracle(m1, m2, points)
+        and f"pointwise composition broke for {m1} then {m2}",
     ))
 
 
 def c_shift_bijectivity(ctx: _Ctx) -> Outcome:
     g = ctx.group
     rng = ctx.rng("bijectivity")
-    w = ctx.window
-    points = _subset(ctx.elements((-w, 2 * w)), 64, ctx.rng("bijectivity-points"))
+    w = ctx.radius
+    points = _subset(ctx.window((-w, 2 * w)), 64, ctx.rng("bijectivity-points"))
 
     def fault(a, b):
         shift = PartialShift(g, a, b)
@@ -746,7 +735,7 @@ def c_shift_bijectivity(ctx: _Ctx) -> Outcome:
             if back.apply(y) != x:
                 return f"{shift} does not invert at {g.render(x)}"
 
-    return _forall((_tuples(ctx.elements(), 2, 200, rng), lambda a, b: not fault(a, b), fault))
+    return _forall((_tuples(ctx.window(), 2, 200, rng), fault))
 
 
 # --- certificate checks ------------------------------------------------------
@@ -770,13 +759,12 @@ def c_witness_chains(ctx: _Ctx) -> Outcome:
         if second != [target]:
             return f"step two of {seed} -> {target} is not unique in the window"
 
-    draws = _tuples(coords, 4, count, ctx.rng("witness-chains"))
-    return _forall((draws, lambda *abcd: not fault(*abcd), fault))
+    return _forall((_tuples(coords, 4, count, ctx.rng("witness-chains")), fault))
 
 
 def c_density_probe(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    samples = _subset(ctx.elements(), 60, ctx.rng("density-probe"))
+    samples = _subset(ctx.window(), 60, ctx.rng("density-probe"))
     verdict = density_probe(g, samples)
     cases = max(verdict.checked, 1)
     if verdict.densely_ordered != g.densely_ordered:
@@ -800,54 +788,46 @@ def c_escape_region_sweep(ctx: _Ctx) -> Outcome:
         return "not-applicable", 0, None
     rng = ctx.rng("escape-sweep")
     anchors = [g.identity] + _subset(
-        [e for e in ctx.elements() if e != g.identity], 2, rng
+        [e for e in ctx.window() if e != g.identity], 2, rng
     )
 
     def points():
         for anchor in anchors:
             idem_pair = idempotent(g, anchor)
             succ_idem = idempotent(g, g.successor(anchor))
-            for x, y in _subset(escape_region(g, anchor, ctx.window), 1500, rng):
+            for x, y in _subset(escape_region(g, anchor, ctx.radius), 1500, rng):
                 yield idem_pair, succ_idem, x, y
 
-    def certified(idem_pair, succ_idem, x, y):
+    def fault(idem_pair, succ_idem, x, y):
         point = BElement(g, x, y)
         cert = escape_certificate(idem_pair, point)
         side, p = cert.side, cert.product
         # the canonical-witness test of the landed ideal, independent of
         # the ideal_member test the certificate already ran
-        return (
+        if not (
             p == (idem_pair * point if side == "left" else point * idem_pair)
             and cert.excluded_region.value == f"{side}-ideal"
             and (succ_idem * p if side == "right" else p * succ_idem) == p
-        )
+        ):
+            return f"bad escape certificate for {point} at {idem_pair}"
 
-    return _forall((
-        points(),
-        certified,
-        lambda idem_pair, succ_idem, x, y: (
-            f"bad escape certificate for {BElement(g, x, y)} at {idem_pair}"
-        ),
-    ))
+    return _forall((points(), fault))
 
 
 def c_dl_set_equivalence(ctx: _Ctx) -> Outcome:
     g = ctx.group
     rng = ctx.rng("dl-set")
     pool = _subset(ctx.pairs(), 1200, rng)
-    anchors = _subset(ctx.elements(), 7, rng)
+    anchors = _subset(ctx.window(), 7, rng)
 
-    def agree(s, anchor):
+    def fault(s, anchor):
         direct = dl_set_member(s, anchor)
         characterized = s.is_idempotent() and g.leq(s.left, anchor)
         above_anchor = nat_leq(idempotent(g, anchor), s)
-        return direct == characterized == above_anchor
+        if not direct == characterized == above_anchor:
+            return f"stabilizer test splits at {s}, anchor {g.render(anchor)}"
 
-    return _forall((
-        itertools.product(pool, anchors),
-        agree,
-        lambda s, anchor: f"stabilizer test splits at {s}, anchor {g.render(anchor)}",
-    ))
+    return _forall((itertools.product(pool, anchors), fault))
 
 
 SUITES: Dict[str, Tuple[Tuple[str, Callable[[_Ctx], Outcome]], ...]] = {

@@ -91,9 +91,9 @@ def test_02b_representation_soundness_heisenberg():
     sample points per composite; zero mismatches tolerated.
     """
     rng = random.Random("acceptance-02-h3")
-    anchors = H3.elements(2)
+    anchors = H3.window(2)
     assert len(anchors) == 125
-    points_pool = H3.elements((-2, 4))
+    points_pool = H3.window((-2, 4))
     points = [rng.choice(points_pool) for _ in range(12)]
     checked = 0
     for _ in range(8000):
@@ -155,7 +155,7 @@ def test_05_sandwich_equation():
     """For all window quadruples, the middle-unknown equation's solution set
     is exactly the up-set of the inner coordinates, and the three-factor
     identity holds."""
-    coords = Z.elements(WINDOW)
+    coords = Z.window(WINDOW)
     pool = pairs_in_window(Z, WINDOW)
     checked = 0
     for a, b, c, d in itertools.product(coords, repeat=4):
@@ -179,7 +179,7 @@ def test_06_ideal_membership():
     full = pairs_in_window(Z, WINDOW)
     plus = pairs_in_window(Z, WINDOW, bplus=True)
     checked = 0
-    for anchor in Z.elements(WINDOW):
+    for anchor in Z.window(WINDOW):
         e = idempotent(Z, anchor)
         for bplus, pool in ((False, full), (True, plus)):
             if bplus and not Z.is_positive(anchor):
@@ -219,9 +219,9 @@ def test_08_witness_chains():
     multiply back and are the only window solutions."""
     t0 = time.perf_counter()
     setups = (
-        (Z, Z.elements(3)),
-        (ZXZ, ZXZ.elements(2)),
-        (H3, H3.elements(1)),
+        (Z, Z.window(3)),
+        (ZXZ, ZXZ.window(2)),
+        (H3, H3.window(1)),
         (Q, Q.window(3)),
     )
     total = 0
@@ -257,7 +257,7 @@ def test_09_escape_certificates():
         (ZXZ, 3, [(0, 0)]),
         (H3, 2, [(0, 0, 0)]),
     ):
-        elems = group.elements(window)
+        elems = group.window(window)
         for anchor in anchors:
             idem_pair = idempotent(group, anchor)
             succ = group.successor(anchor)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bicext import certificates
 from bicext.certificates import (
     ExcludedRegion,
     build_witness_chain,
@@ -12,9 +13,16 @@ from bicext.certificates import (
     escape_certificate,
     escape_region,
 )
-from bicext.errors import InstanceMismatch, NotApplicable, PreconditionViolated
-from bicext.natorder import SolutionKind, ideal_member, nat_leq, solve_left, solve_right
-from bicext.ogroups import H3, Q, Z, ZXZ
+from bicext.errors import InstanceMismatch, InternalError, NotApplicable, PreconditionViolated
+from bicext.natorder import (
+    SolutionKind,
+    SolutionSet,
+    ideal_member,
+    nat_leq,
+    solve_left,
+    solve_right,
+)
+from bicext.ogroups import H3, Q, Z, ZXZ, IntegerGroup, RationalGroup
 from bicext.pairs import BElement, idempotent, pairs_in_window
 
 
@@ -26,7 +34,7 @@ def be(group, a, b):
 
 
 def test_probe_integers():
-    verdict = density_probe(Z, Z.elements(3))
+    verdict = density_probe(Z, Z.window(3))
     assert not verdict.densely_ordered
     assert verdict.minimal_positive == 1
     assert verdict.checked == 7
@@ -45,8 +53,8 @@ def test_probe_rationals():
 
 
 def test_probe_lex_and_heisenberg():
-    assert density_probe(ZXZ, ZXZ.elements(1)).minimal_positive == (0, 1)
-    assert density_probe(H3, H3.elements(1)).minimal_positive == (0, 0, 1)
+    assert density_probe(ZXZ, ZXZ.window(1)).minimal_positive == (0, 1)
+    assert density_probe(H3, H3.window(1)).minimal_positive == (0, 0, 1)
 
 
 # --- witness chains -----------------------------------------------------------
@@ -145,7 +153,7 @@ def test_escape_region_sweep_complete():
     anchor = 1
     idem_pair = idempotent(Z, anchor)
     succ = Z.successor(anchor)
-    elems = Z.elements(3)
+    elems = Z.window(3)
     points = [
         (x, y)
         for x, y in itertools.product(elems, repeat=2)
@@ -166,7 +174,7 @@ def test_escape_region_sweep_complete():
 def test_escape_region_is_the_certificate_domain(group, window):
     # the region lists, in window order, exactly the points a certificate
     # accepts; the anchors include the window's least and greatest elements
-    elems = group.elements(window)
+    elems = group.window(window)
     for anchor in (elems[0], group.identity, elems[-2], elems[-1]):
         idem_pair = idempotent(group, anchor)
         accepted = []
@@ -196,9 +204,60 @@ def test_dl_set_examples():
 
 
 def test_dl_set_equals_idempotents_below_anchor():
-    for anchor in Z.elements(2):
+    for anchor in Z.window(2):
         for s in pairs_in_window(Z, 3):
             expected = s.is_idempotent() and s.left <= anchor
             assert dl_set_member(s, anchor) == expected
             # the stabilizer is exactly the up-set of the anchor idempotent
             assert dl_set_member(s, anchor) == nat_leq(idempotent(Z, anchor), s)
+
+
+# --- eager verification -----------------------------------------------------------
+
+
+class _OvershootingRationalGroup(RationalGroup):
+    """Rationals whose midpoint witness is the upper end itself."""
+
+    def between(self, g, h):
+        return h
+
+
+def test_probe_rejects_a_midpoint_out_of_range():
+    with pytest.raises(InternalError, match="^midpoint witness 1 out of range$"):
+        density_probe(_OvershootingRationalGroup(), [Fraction(-1), Fraction(1)])
+
+
+class _StepAboveIntegerGroup(IntegerGroup):
+    """Integers whose element below 5 is 6."""
+
+    def element_below(self, g):
+        return g + 1 if g == 5 else g - 1
+
+
+@pytest.mark.parametrize(
+    "seed, target, message",
+    [
+        # the right translator is built below target.right, the left one
+        # below target.left
+        ((0, 0), (1, 5), "chain step one does not multiply back to the seed"),
+        ((0, 0), (5, 1), "chain step two does not multiply back"),
+    ],
+)
+def test_chain_rejects_a_step_that_does_not_multiply_back(seed, target, message):
+    g = _StepAboveIntegerGroup()
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        build_witness_chain(be(g, *seed), be(g, *target))
+
+
+@pytest.mark.parametrize("solver, step", [("solve_left", "one"), ("solve_right", "two")])
+def test_chain_rejects_a_step_that_is_not_unique(monkeypatch, solver, step):
+    monkeypatch.setattr(
+        certificates, solver, lambda *args, **kwargs: SolutionSet(SolutionKind.NO_SOLUTION)
+    )
+    with pytest.raises(InternalError, match=f"^chain step {step} is not the unique solution$"):
+        build_witness_chain(be(Z, 0, 0), be(Z, -3, 7))
+
+
+def test_escape_instance_mismatch():
+    with pytest.raises(InstanceMismatch, match="^Z idempotent mixed with ZxZ point$"):
+        escape_certificate(be(Z, 0, 0), be(ZXZ, (-1, 0), (0, 0)))

@@ -276,6 +276,28 @@ def test_check_json_is_sorted_and_stable(capsys):
     assert payload["summary"]["fail"] == 0
 
 
+@pytest.mark.parametrize(
+    "group, window, elems",
+    [
+        ("Z", 10**9, 2 * 10**9 + 1),
+        ("Z", 5000, 10001),
+        ("H3", 10**9, (2 * 10**9 + 1) ** 3),
+        ("H3", 11, 12167),
+        # Q's grid at window w is bounded by (2w+1)**2
+        ("Q", 10**9, (2 * 10**9 + 1) ** 2),
+        ("Q", 50, 10201),
+    ],
+)
+def test_check_refuses_a_window_over_the_budget(capsys, group, window, elems):
+    # refused before any element is built: exit 2, not a MemoryError
+    code, out, err = run(capsys, "check", "--group", group, "--window", str(window))
+    assert code == 2 and out == ""
+    assert err == (
+        f"check at window {window} would build {elems} window elements, "
+        "over the budget of 10000; use a smaller --window\n"
+    )
+
+
 def test_check_rejects_unknown_suite(capsys):
     code, _, err = run(capsys, "check", "--suites", "nonsense")
     assert code == 2

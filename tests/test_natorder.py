@@ -131,7 +131,7 @@ def test_canonical_witnesses_over_every_idempotent(g, bounds):
 
 
 def test_idempotent_order_reverses_coordinates():
-    for a, c in itertools.product(Z.elements(3), repeat=2):
+    for a, c in itertools.product(Z.window(3), repeat=2):
         assert nat_leq(idempotent(Z, a), idempotent(Z, c)) == (a >= c)
 
 
@@ -240,7 +240,7 @@ def test_solve_sandwich_malformed():
 
 
 def test_factorization_identity():
-    for a, b, c, d in itertools.product(Z.elements(2), repeat=4):
+    for a, b, c, d in itertools.product(Z.window(2), repeat=4):
         assert be(Z, a, c) * be(Z, c, d) * be(Z, d, b) == be(Z, a, b)
 
 
@@ -332,8 +332,8 @@ def test_up_set_window_matches_the_scan(g, bounds):
     # half the bases come from a wider window, so some lie outside it;
     # a base inside the window is a member of its own up-set
     rng = random.Random(f"upset:{g.name}:{bounds}")
-    window = g.elements(bounds)
-    wider = g.elements(4 if g is Z else 3)
+    window = g.window(bounds)
+    wider = g.window(4 if g is Z else 3)
     bases = [be(g, rng.choice(pool), rng.choice(pool)) for pool in (window, wider) for _ in range(20)]
     window = set(window)
     outside = inside = found = 0

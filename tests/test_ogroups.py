@@ -21,7 +21,6 @@ from bicext.ogroups import (
     check_positive_cone_axioms,
     normalize_bounds,
     successor_check,
-    window_around,
 )
 
 
@@ -45,14 +44,24 @@ def test_groups_equal_by_type():
 
 
 def test_elements_windows():
-    assert Z.elements(2) == [-2, -1, 0, 1, 2]
-    assert Z.elements((0, 3)) == [0, 1, 2, 3]
-    assert len(ZXZ.elements(1)) == 9
-    assert len(H3.elements(1)) == 27
-    with pytest.raises(NotApplicable):
-        Q.elements(2)
+    assert Z.window(2) == [-2, -1, 0, 1, 2]
+    assert Z.window((0, 3)) == [0, 1, 2, 3]
+    assert len(ZXZ.window(1)) == 9
+    assert len(H3.window(1)) == 27
+    with pytest.raises(NotApplicable, match="bare is not enumerable"):
+        type("Bare", (OrderedGroup,), {"name": "bare"})().window(2)
     with pytest.raises(ValueError):
         normalize_bounds((3, 1))
+
+
+@pytest.mark.parametrize("bounds", [0, 1, 2, 3, (-1, 2), (0, 3)])
+def test_window_ascends_with_the_positive_cone_last(any_group, bounds):
+    # "at or below x" and "positive" are index ranges of every window
+    g = any_group
+    window = g.window(bounds)
+    assert all(g.cmp(a, b) < 0 for a, b in zip(window, window[1:]))
+    positive = [g.is_positive(x) for x in window]
+    assert positive == sorted(positive)
 
 
 def test_rational_grid():
@@ -73,9 +82,6 @@ def test_rational_grid():
 
 
 def test_window_is_the_finite_carrier():
-    for g in (Z, ZXZ, H3):
-        for bounds in (0, 2, (-1, 2)):
-            assert g.window(bounds) == g.elements(bounds)
     assert Q.window((-1, 2)) == Q.window(2)
     grid = Q.window(3)
     assert grid == sorted(grid) and len(set(grid)) == len(grid)
@@ -251,7 +257,7 @@ def test_heisenberg_group_laws(a, b, c):
 def test_heisenberg_not_commutative():
     found = any(
         H3.mul(a, b) != H3.mul(b, a)
-        for a, b in itertools.product(H3.elements(1), repeat=2)
+        for a, b in itertools.product(H3.window(1), repeat=2)
     )
     assert found
 
@@ -310,12 +316,12 @@ class _XZYOrder(HeisenbergGroup):
 
 
 def test_cone_axioms_catch_a_cone_meeting_its_inverses():
-    verdict = check_positive_cone_axioms(_AbsoluteOrder(), Z.elements(3))
+    verdict = check_positive_cone_axioms(_AbsoluteOrder(), Z.window(3))
     assert verdict == ConeVerdict(True, False, True, (-3, 3))
 
 
 def test_cone_axioms_catch_a_cone_unstable_under_conjugation():
-    verdict = check_positive_cone_axioms(_XZYOrder(), H3.elements(1))
+    verdict = check_positive_cone_axioms(_XZYOrder(), H3.window(1))
     assert verdict == ConeVerdict(True, True, False, ((-1, -1, -1), (0, -1, 1)))
 
 
@@ -339,7 +345,7 @@ def test_successor_check_examples():
 
 def test_succ_pred_roundtrip():
     for g in (Z, ZXZ, H3):
-        for x in g.elements(2):
+        for x in g.window(2):
             assert g.predecessor(g.successor(x)) == x
             assert g.successor(g.predecessor(x)) == x
             assert g.lt(x, g.successor(x))
@@ -352,7 +358,7 @@ def test_minimal_positive_elements():
     # nothing in a window sits strictly between the identity and the successor
     for g in (Z, ZXZ, H3):
         succ = g.successor(g.identity)
-        for x in g.elements(3):
+        for x in g.window(3):
             assert not (g.lt(g.identity, x) and g.lt(x, succ))
 
 
@@ -369,11 +375,6 @@ def test_element_below(any_group):
     probe = g.designated_positive
     below = g.element_below(probe)
     assert g.lt(below, probe)
-
-
-def test_window_around_contains_center():
-    assert 5 in window_around(Z, 5, 2)
-    assert (2, 7) in window_around(ZXZ, (2, 7), 1)
 
 
 def test_power():

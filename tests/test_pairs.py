@@ -111,7 +111,7 @@ def test_inverse_is_unique_in_window():
 
 
 def test_idempotents_commute():
-    idems = [idempotent(Z, x) for x in Z.elements(3)]
+    idems = [idempotent(Z, x) for x in Z.window(3)]
     for e, f in itertools.product(idems, repeat=2):
         assert e * f == f * e
 

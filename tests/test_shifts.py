@@ -50,7 +50,7 @@ def test_compose_anchor_examples():
 
 def test_pointwise_oracle_on_integers():
     samples = list(range(-4, 9))
-    anchors = Z.elements(3)
+    anchors = Z.window(3)
     for g1, h1, g2, h2 in itertools.product(anchors[::2], repeat=4):
         m1, m2 = PartialShift(Z, g1, h1), PartialShift(Z, g2, h2)
         assert compose_pointwise_oracle(m1, m2, samples)
@@ -67,8 +67,8 @@ def test_pointwise_oracle_identity_shift(any_group):
 
 def test_pointwise_oracle_heisenberg_random_anchors():
     rng = random.Random("h3-shift-stress")
-    anchors = H3.elements(2)
-    points = H3.elements(1)
+    anchors = H3.window(2)
+    points = H3.window(1)
     for _ in range(150):
         m1 = PartialShift(H3, rng.choice(anchors), rng.choice(anchors))
         m2 = PartialShift(H3, rng.choice(anchors), rng.choice(anchors))
@@ -88,8 +88,8 @@ def test_pair_to_shift_orientation():
 
 
 def test_bijectivity_on_samples():
-    points = Z.elements((0, 10))
-    for a, b in itertools.product(Z.elements(2), repeat=2):
+    points = Z.window((0, 10))
+    for a, b in itertools.product(Z.window(2), repeat=2):
         m = PartialShift(Z, a, b)
         back = m.inverse()
         images = []

@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from bicext import certificates, suites
+from bicext.certificates import DensityVerdict
 from bicext.natorder import SolutionKind, SolutionSet
 from bicext.ogroups import GROUPS, IntegerGroup
 from bicext.pairs import BElement, idempotent
+from bicext.shifts import PartialShift
 from bicext.suites import SUITES, SuiteConfig, run_suites
 
 Z = GROUPS["Z"]
@@ -198,10 +201,12 @@ OFF_FORALL = {"noncommutative-witness", "cone-axioms", "density-probe"}
 @pytest.mark.parametrize("group, window", [("Z", 2), ("Q", 1), ("ZxZ", 1), ("H3", 1)])
 def test_sampled_checks_run_on_forall(monkeypatch, group, window):
     # every other applicable check must hand back the outcome _forall
-    # returned, so no hand-rolled case counter can creep back in
+    # returned, so no hand-rolled case counter can creep back in; and each
+    # clause is (tuples, fault), one callable per claim
     real, returned = suites._forall, []
 
     def recording(*clauses):
+        assert all(len(clause) == 2 for clause in clauses)
         returned.append(real(*clauses))
         return returned[-1]
 
@@ -424,3 +429,115 @@ def test_witness_chains_test_each_step_in_the_window(monkeypatch, field, cases, 
         lambda seed, target: dataclasses.replace(real(seed, target), **{field: bottom}),
     )
     assert _check("witness-chains")(suites._Ctx(Z, 2, 0)) == ("fail", cases, counter)
+
+
+# Negative controls for the fault branches the reports above never reach:
+# each faulty carrier or patched library call fails its check at a pinned
+# case with a pinned counterexample.
+
+
+class _NonAssociativeIntegerGroup(IntegerGroup):
+    """Integer carrier whose product adds one more when the left factor is 2."""
+
+    def mul(self, g, h):
+        return g + h + (1 if g == 2 else 0)
+
+
+class _LeakyInverseIntegerGroup(IntegerGroup):
+    """Integer carrier whose inverse of 2 is a float; carry stays closed-form."""
+
+    carry = IntegerGroup.carry
+
+    def inv(self, g):
+        return float(-g) if g == 2 else -g
+
+
+class _OffsetIdentityIntegerGroup(IntegerGroup):
+    identity = 5
+
+
+class _OffsetInverseIntegerGroup(IntegerGroup):
+    def inv(self, g):
+        return -g + 1
+
+
+@pytest.mark.parametrize(
+    "carrier, cases, counter",
+    [
+        (_NonAssociativeIntegerGroup, 21, "associativity broke at -2, 2, -2"),
+        # the 125 triples pass, and the fifth element is 2
+        (_LeakyInverseIntegerGroup, 130, "an inverse or product left the carrier at 2"),
+        (_OffsetIdentityIntegerGroup, 126, "identity law broke at -2"),
+        (_OffsetInverseIntegerGroup, 126, "inverse law broke at -2"),
+    ],
+)
+def test_group_laws_fault_branches(carrier, cases, counter):
+    assert _check("group-laws")(suites._Ctx(carrier(), 2, 0)) == ("fail", cases, counter)
+
+
+class _LongPredecessorIntegerGroup(IntegerGroup):
+    def predecessor(self, g):
+        return g - 2
+
+
+class _DeclaredNonAbelianIntegerGroup(IntegerGroup):
+    abelian = False
+
+
+def test_succ_pred_and_noncommutative_fault_branches():
+    ctx = suites._Ctx(_LongPredecessorIntegerGroup(), 2, 0)
+    assert _check("succ-pred-roundtrip")(ctx) == (
+        "fail", 1, "succ/pred not mutually inverse at -2"
+    )
+    # all 25 pairs commute
+    ctx = suites._Ctx(_DeclaredNonAbelianIntegerGroup(), 2, 0)
+    assert _check("noncommutative-witness")(ctx) == (
+        "fail", 25, "no non-commuting sample pair found"
+    )
+
+
+def test_pair_inverse_unique_catches_a_wrong_inverse(monkeypatch):
+    # the first probe [-2|-2] is idempotent, so it is its own inverse
+    monkeypatch.setattr(BElement, "inverse", lambda s: s)
+    assert _check("pair-inverse-unique")(suites._Ctx(Z, 2, 0)) == (
+        "fail", 2, "inverse law broke at [-2|-1]"
+    )
+
+
+def test_shift_bijectivity_fault_branches(monkeypatch):
+    # an apply that rounds each point down to an even offset from the domain
+    # anchor sends -1 where -2 went under the first shift, -2 -> -2
+    real_apply = PartialShift.apply
+    with monkeypatch.context() as m:
+        m.setattr(PartialShift, "apply", lambda s, x: real_apply(s, x - (x - s.dom_anchor) % 2))
+        assert _check("shift-bijectivity")(suites._Ctx(Z, 2, 0)) == (
+            "fail", 1, "shift -2 -> -2 is not injective at -1"
+        )
+    # a shift standing in for its own inverse inverts only the identity shift
+    monkeypatch.setattr(PartialShift, "inverse", lambda s: s)
+    assert _check("shift-bijectivity")(suites._Ctx(Z, 2, 0)) == (
+        "fail", 2, "shift -2 -> -1 does not invert at -2"
+    )
+
+
+@pytest.mark.parametrize(
+    "carrier, verdict, outcome",
+    [
+        (Z, DensityVerdict(True, None, (), 0), (1, "probe disagrees with the declared density")),
+        (Z, DensityVerdict(False, 2, (), 7), (7, "probe reported a wrong minimal positive element")),
+        # the carrier's successor of 0 is 2, so the window's 1 undercuts it
+        (
+            _SkippingIntegerGroup(),
+            DensityVerdict(False, 2, (), 7),
+            (7, "1 undercuts the minimal positive element"),
+        ),
+        (
+            GROUPS["Q"],
+            DensityVerdict(True, None, ((Fraction(1), Fraction(2)),), 1),
+            (1, "bad density witness 2"),
+        ),
+    ],
+)
+def test_density_probe_fault_branches(monkeypatch, carrier, verdict, outcome):
+    monkeypatch.setattr(suites, "density_probe", lambda group, samples: verdict)
+    assert _check("density-probe")(suites._Ctx(carrier, 2, 0)) == ("fail", *outcome)
