@@ -127,8 +127,6 @@ def build_witness_chain(seed: BElement, target: BElement) -> WitnessChain:
     second = solve_right(intermediate, left_translator)
     if second.kind is not SolutionKind.UNIQUE or second.element != target:
         raise InternalError("chain step two is not the unique solution")
-    if intermediate.left != seed.left or intermediate.right != target.right:
-        raise InternalError("intermediate does not share the required coordinates")
 
     return WitnessChain(seed, target, right_translator, intermediate, left_translator)
 

@@ -74,8 +74,7 @@ def _window_elements(group, window: int) -> int:
     return (2 * max(window, 0) + 1) ** group.payload_arity
 
 
-def _cmd_mul(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_mul(args, group) -> int:
     s = parse_pair(args.elements[0], group)
     t = parse_pair(args.elements[1], group)
     result = s * t
@@ -83,16 +82,14 @@ def _cmd_mul(args) -> int:
     return 0
 
 
-def _cmd_inv(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_inv(args, group) -> int:
     s = parse_pair(args.element, group)
     result = s.inverse()
     _emit(args.output, lambda: {"element": pair_to_json(result)}, result.__str__)
     return 0
 
 
-def _cmd_leq(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_leq(args, group) -> int:
     s = parse_pair(args.s, group)
     t = parse_pair(args.t, group)
     verdict = nat_leq(s, t)
@@ -105,8 +102,7 @@ def _cmd_leq(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_solve(args, group) -> int:
     target = parse_pair(args.target, group)
     if args.side == "sandwich":
         if not (args.leftk and args.rightk):
@@ -130,8 +126,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_ideal(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_ideal(args, group) -> int:
     s = parse_pair(args.element, group)
     anchor = parse_payload(args.anchor, group)
     member = ideal_member(s, anchor, args.side, bplus=args.bplus)
@@ -143,8 +138,7 @@ def _cmd_ideal(args) -> int:
     return 0
 
 
-def _cmd_upset(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_upset(args, group) -> int:
     base = parse_pair(args.base, group)
     elems = _window_elements(group, args.window)
     # on Q the library answers not-applicable without building a window
@@ -163,8 +157,7 @@ def _cmd_upset(args) -> int:
     return 0
 
 
-def _cmd_pmap(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_pmap(args, group) -> int:
     if args.action == "apply":
         if not (args.g and args.h and args.x):
             print("pmap apply needs --g, --h and --x", file=sys.stderr)
@@ -209,8 +202,7 @@ def _cmd_pmap(args) -> int:
     return 0
 
 
-def _cmd_witness(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_witness(args, group) -> int:
     seed = parse_pair(args.seed, group)
     target = parse_pair(args.target, group)
     chain = build_witness_chain(seed, target)
@@ -234,8 +226,7 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _cmd_escape(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_escape(args, group) -> int:
     anchor = parse_payload(args.a, group)
     idem = BElement(group, anchor, anchor)
     pairs = _window_elements(group, args.window) ** 2
@@ -282,8 +273,7 @@ def _cmd_escape(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    group = GROUPS[args.group]
+def _cmd_check(args, group) -> int:
     elems = _window_elements(group, args.window)
     if not group.enumerable:
         elems **= 2  # bounds Q's grid, as in `escape`
@@ -377,12 +367,12 @@ def _parse_exact(table: tuple, strings: list) -> Optional[argparse.Namespace]:
 def _parsers() -> tuple:
     """The top-level parser and each command's exact-token table (see
     ``_exact_table``) by command name, built once; see build_parser."""
+    # every command reads --group and --output; each other option is added
+    # only to the commands that read it
     common = argparse.ArgumentParser(add_help=False)
     shared = [
         common.add_argument("--group", default="Z", choices=sorted(GROUPS)),
         common.add_argument("--output", default="text", choices=["text", "json"]),
-        common.add_argument("--window", type=int, default=4),
-        common.add_argument("--sample-seed", type=int, default=0, dest="sample_seed"),
     ]
 
     parser = argparse.ArgumentParser(
@@ -426,11 +416,13 @@ def _parsers() -> tuple:
     p.set_defaults(fn=_cmd_ideal)
 
     p = sub.add_parser("upset", parents=[common], help="window view of an up-set")
+    add(p, "--window", type=int, default=4)
     add(p, "--base", required=True)
     add(p, "--bplus", action="store_true")
     p.set_defaults(fn=_cmd_upset)
 
     p = sub.add_parser("pmap", parents=[common], help="partial shift operations")
+    add(p, "--window", type=int, default=4)  # read by check-compose
     add(p, "action", choices=["apply", "check-compose"])
     add(p, "--g", help="domain anchor literal")
     add(p, "--h", help="codomain anchor literal")
@@ -443,10 +435,13 @@ def _parsers() -> tuple:
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("escape", parents=[common], help="escape certificates for a region")
+    add(p, "--window", type=int, default=4)
     add(p, "--a", required=True, help="idempotent anchor literal")
     p.set_defaults(fn=_cmd_escape)
 
     p = sub.add_parser("check", parents=[common], help="run the property suites")
+    add(p, "--window", type=int, default=4)
+    add(p, "--sample-seed", type=int, default=0, dest="sample_seed")
     add(p, "--suites", default="all")
     p.set_defaults(fn=_cmd_check)
 
@@ -493,7 +488,7 @@ def _exceeds_digit_limit(exc: ValueError) -> bool:
 def main(argv: Optional[list] = None) -> int:
     args = _parse_command_line(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        return args.fn(args, GROUPS[args.group])
     except ParseError as exc:
         print(f"literal error: {exc}", file=sys.stderr)
         return 2

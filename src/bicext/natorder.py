@@ -239,7 +239,7 @@ def up_set_window(base: BElement, bounds: Bounds, bplus: bool = False) -> List[B
     """
     g = base.group
     if not g.enumerable:
-        raise NotApplicable(f"{g.name} windows cannot be enumerated")
+        raise NotApplicable(f"{g.name} is not enumerable")
     elems = g.window(bounds)
     in_window = set(elems)
     top = base.left

@@ -433,11 +433,13 @@ def c_pair_inverse_unique(ctx: _Ctx) -> Outcome:
 
 def c_idempotents_commute(ctx: _Ctx) -> Outcome:
     g = ctx.group
-    idems = [idempotent(g, x) for x in ctx.window()]
-    return _forall((
-        _tuples(idems, 2, 6000, ctx.rng("idem-commute")),
-        lambda e, f: e * f != f * e and f"idempotents {e} and {f} do not commute",
-    ))
+
+    def fault(x, y):
+        e, f = idempotent(g, x), idempotent(g, y)
+        if e * f != f * e:
+            return f"idempotents {e} and {f} do not commute"
+
+    return _forall((_tuples(ctx.window(), 2, 6000, ctx.rng("idem-commute")), fault))
 
 
 def c_bplus_closure(ctx: _Ctx) -> Outcome:
@@ -567,35 +569,31 @@ def c_triple_factorization(ctx: _Ctx) -> Outcome:
 # --- solver checks ---------------------------------------------------------
 
 
-def _up_sets(pool: Sequence[BElement]) -> Callable[[BElement], List[BElement]]:
-    """``up_set(base)``: the members of ``pool`` at or above ``base``, in pool
-    order, listed once per distinct ``base``.  A check makes its own, so the
-    memo lives in its locals."""
+def _window_solutions(pool: Sequence[BElement]) -> Callable:
+    """``expected(sol)``: the members of ``pool`` that the solution set
+    ``sol`` holds, in pool order.  Each distinct least element's up-set is
+    listed once; a check makes its own, so the memo lives in its locals."""
+    members = set(pool)
 
     @cache
     def up_set(base):
         return [w for w in pool if nat_leq(base, w)]
 
-    return up_set
+    def expected(sol):
+        if sol.kind is SolutionKind.NO_SOLUTION:
+            return []
+        if sol.kind is SolutionKind.UNIQUE:
+            return [sol.element] if sol.element in members else []
+        # keyed by the element the solver returned, so a wrong answer is
+        # compared against its own up-set, never against the expected one
+        return up_set(sol.element)
 
-
-def _solution_matches_window(sol, brute, pool_members, up_set) -> bool:
-    """Compare a symbolic solution set against the brute-forced solutions
-    in a pool; ``pool_members`` is ``set(pool)`` and ``up_set`` is the
-    pool's ``_up_sets``."""
-    if sol.kind is SolutionKind.NO_SOLUTION:
-        return brute == []
-    if sol.kind is SolutionKind.UNIQUE:
-        return brute == ([sol.element] if sol.element in pool_members else [])
-    # keyed by the element the solver returned, so a wrong answer is
-    # compared against its own up-set, never against the expected one
-    return brute == up_set(sol.element)
+    return expected
 
 
 def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
     pool = ctx.pairs(bplus=bplus)
-    pool_members = set(pool)
-    up_set = _up_sets(pool)
+    expected = _window_solutions(pool)
     budget_pairs = max(16, BUDGET // max(1, len(pool)))
     samples = list(_tuples(pool, 2, budget_pairs, ctx.rng(f"solve-{side}-{bplus}")))
     solve = solve_right if side == "right" else solve_left
@@ -615,7 +613,7 @@ def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
         sol = solve(target, known, bplus=bplus)
         key = (target.left, target.right)
         brute = [w for w, p in zip(pool, row) if p == key]
-        if not _solution_matches_window(sol, brute, pool_members, up_set):
+        if brute != expected(sol):
             return (
                 f"window solutions of target {target}, known {known} ({side}) "
                 f"do not match {sol.kind.value}"
@@ -628,8 +626,7 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
     g = ctx.group
     elems = [e for e in ctx.window() if not bplus or g.is_positive(e)]
     pool = ctx.pairs(bplus=bplus)
-    pool_members = set(pool)
-    up_set = _up_sets(pool)
+    expected = _window_solutions(pool)
     budget_quads = max(12, BUDGET // max(1, len(pool)))
     quads = list(_tuples(elems, 4, budget_quads, ctx.rng(f"sandwich-{bplus}")))
     # the first products leftk * w, once per left factor (a, c)
@@ -646,7 +643,7 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
         brute = [
             w for w, lw in zip(pool, lefts) if (p := lw * rightk).right == b and p.left == a
         ]
-        if not _solution_matches_window(sol, brute, pool_members, up_set):
+        if brute != expected(sol):
             return (
                 f"sandwich solutions for target {target} via {leftk}, {rightk} "
                 f"do not match the up-set of {sol.element}"

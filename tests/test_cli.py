@@ -99,9 +99,12 @@ def test_upset(capsys):
 
 
 def test_upset_not_applicable_on_rationals(capsys):
-    code, out, _ = run(capsys, "upset", "--group", "Q", "--base", "[0|1]")
-    assert code == 0
-    assert "not applicable" in out
+    # worded as every other refusal of Q's window
+    code, out, err = run(capsys, "upset", "--group", "Q", "--base", "[0|1]")
+    assert (code, out, err) == (0, "not applicable: Q is not enumerable\n", "")
+    code, out, err = run(capsys, "upset", "--group", "Q", "--base", "[0|1]", "--output", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"not_applicable": True, "reason": "Q is not enumerable"}
 
 
 def test_pmap_apply(capsys):
@@ -556,15 +559,44 @@ def test_one_pass_parse_matches_parse_args_on_random_literals(argv):
     _assert_parse_parity(argv)
 
 
-_COMMON_OPTIONS = ["--group", "--output", "--window", "--sample-seed"]
+_COMMON_OPTIONS = ["--group", "--output"]
 # each command's own value options, then how many positionals it takes
 _COMMAND_OPTIONS = {
     "mul": ([], 2), "inv": ([], 1), "leq": (["--s", "--t"], 0),
     "solve": (["--target", "--known", "--side", "--leftk", "--rightk"], 0),
-    "ideal": (["--element", "--anchor", "--side"], 0), "upset": (["--base"], 0),
-    "pmap": (["--g", "--h", "--x"], 1), "witness": (["--seed", "--target"], 0),
-    "escape": (["--a"], 0), "check": (["--suites"], 0),
+    "ideal": (["--element", "--anchor", "--side"], 0), "upset": (["--window", "--base"], 0),
+    "pmap": (["--window", "--g", "--h", "--x"], 1), "witness": (["--seed", "--target"], 0),
+    "escape": (["--window", "--a"], 0), "check": (["--window", "--sample-seed", "--suites"], 0),
 }
+# flags, which take no value
+_COMMAND_FLAGS = {"solve": ["--bplus"], "ideal": ["--bplus"], "upset": ["--bplus"]}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    # every option a command accepts is one it reads: --window and
+    # --sample-seed are refused where nothing reads them
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert sorted(commands) == sorted(_COMMAND_OPTIONS)
+    tables = cli._parsers()[1]
+    for name, p in commands.items():
+        own = _COMMAND_OPTIONS[name][0] + _COMMAND_FLAGS.get(name, [])
+        strings = {s for a in p._actions for s in a.option_strings}
+        assert strings == {"-h", "--help", *_COMMON_OPTIONS, *own}, name
+        assert set(tables[name][0]) == strings - {"-h", "--help"}, name
+
+
+@pytest.mark.parametrize("argv", _EXACT_LINES[:10], ids=lambda argv: argv[0])
+def test_an_option_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    own = _COMMAND_OPTIONS[argv[0]][0]
+    for flag in {"--window", "--sample-seed"} - set(own):
+        refused = build_parser().format_usage() + f"bicext: error: unrecognized arguments: {flag} 1\n"
+        for parse in (build_parser().parse_args, _parse_command_line):
+            assert _parse_outcome(parse, argv + [flag, "1"]) == (2, "", refused)
+        # before the command's own strings, the value may be read as a
+        # positional, so only the exit code is pinned
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], flag, "1", *argv[1:]])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 _GOOD_VALUE = {
     "--group": st.sampled_from(sorted(GROUPS)),
     "--output": st.sampled_from(["text", "json"]),
@@ -591,9 +623,10 @@ def _exact_argv(draw):
     name = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
     own, count = _COMMAND_OPTIONS[name]
     # each option of the command is given five times in six, then repeats
-    # and options of other commands, --bplus included, may join them
+    # and options of other commands, --bplus and --window included, may join them
     chosen = [o for o in own if draw(st.integers(0, 5))]
-    chosen += draw(st.lists(st.sampled_from(_COMMON_OPTIONS + own + ["--bplus", "--s"]), max_size=4))
+    chosen += draw(st.lists(st.sampled_from(_COMMON_OPTIONS + own + ["--bplus", "--s", "--window"]),
+                            max_size=4))
     groups = []
     for option in draw(st.permutations(chosen)):
         if option == "--bplus":

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -329,6 +330,43 @@ def test_solver_rows_cut_carrier_comparisons(counting):
     calls.clear()
     assert _check("solve-right-bplus")(ctx) == ("pass", 625, None)
     assert calls["cmp"] <= 6000
+
+
+def test_rows_once_builds_each_key_once_and_keeps_a_row_only_until_its_last_use():
+    # caching every row for the whole check gives the same reports, but
+    # keeps every row alive until the check ends and so raises its peak memory
+    class Row:
+        pass
+
+    built = []
+
+    def build(key):
+        built.append(key)
+        return Row()
+
+    rows = suites._rows_once(["a", "b", "a", "c"], build)
+    a, b = weakref.ref(next(rows)), weakref.ref(next(rows))
+    assert a() is not None  # read again below
+    assert next(rows) is a()
+    assert b() is None  # the consumer moved past its last use
+    next(rows)
+    assert built == ["a", "b", "c"]
+
+
+def test_idempotents_commute_builds_only_the_idempotents_it_draws(monkeypatch):
+    # H3 window 4 holds 729 elements, of which the check draws 6,000 pairs;
+    # it builds the two idempotents of each pair and none for the others
+    built = []
+
+    def counting(g, x):
+        built.append(x)
+        return idempotent(g, x)
+
+    monkeypatch.setattr(suites, "idempotent", counting)
+    ctx = suites._Ctx(GROUPS["H3"], 4, 0)
+    assert _check("idempotents-commute")(ctx) == ("pass", 6000, None)
+    drawn = suites._tuples(ctx.window(), 2, 6000, ctx.rng("idem-commute"))
+    assert built == [x for pair in drawn for x in pair]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 81, 4096, 5000])
