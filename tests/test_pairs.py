@@ -8,17 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bicext.certificates import build_witness_chain, density_probe, escape_certificate
 from bicext.errors import InstanceMismatch
 from bicext.natorder import (
     SolutionKind,
+    SolutionSet,
     nat_leq,
     solve_left,
     solve_right,
     solve_sandwich,
     up_set_window,
 )
-from bicext.ogroups import GROUPS, H3, Q, Z, ZXZ
+from bicext.ogroups import GROUPS, H3, Q, Z, ZXZ, ConeVerdict, check_positive_cone_axioms
 from bicext.pairs import BElement, idempotent, pairs_in_window
+from bicext.suites import CheckResult, SuiteConfig, SuiteReport
 
 
 def be(group, a, b):
@@ -186,6 +189,99 @@ def test_value_semantics(any_group):
             with pytest.raises(FrozenInstanceError):
                 delattr(v, field)
     assert s != (any_group, s.left, s.right)
+
+
+_CHAIN = build_witness_chain(BElement(Z, 0, 1), BElement(Z, 2, -1))
+_CHECK = CheckResult("axioms", "group-laws", "pass", 3, None, 0.5)
+# one value of each frozen record, its fields in constructor order, and its repr
+_RECORDS = [
+    (
+        check_positive_cone_axioms(Z, [0, 1]),
+        ("axiom1_ok", "axiom2_ok", "axiom3_ok", "counterexample"),
+        "ConeVerdict(axiom1_ok=True, axiom2_ok=True, axiom3_ok=True, counterexample=None)",
+    ),
+    (
+        solve_right(BElement(Z, 5, 2), BElement(Z, 3, 4)),
+        ("kind", "element"),
+        "SolutionSet(kind=<SolutionKind.UNIQUE: 'Unique'>, element=BElement(Z, 6, 2))",
+    ),
+    (
+        density_probe(Q, [Fraction(1, 2)]),
+        ("densely_ordered", "minimal_positive", "witnesses", "checked"),
+        "DensityVerdict(densely_ordered=True, minimal_positive=None, "
+        "witnesses=((Fraction(1, 2), Fraction(1, 4)),), checked=1)",
+    ),
+    (
+        _CHAIN,
+        ("seed", "target", "right_translator", "intermediate", "left_translator"),
+        "WitnessChain(seed=BElement(Z, 0, 1), target=BElement(Z, 2, -1), "
+        "right_translator=BElement(Z, -2, 0), intermediate=BElement(Z, 0, -1), "
+        "left_translator=BElement(Z, -1, 1))",
+    ),
+    (
+        escape_certificate(idempotent(Z, 1), BElement(Z, 0, 1)),
+        ("idempotent", "point", "side", "product", "excluded_region"),
+        "EscapeCertificate(idempotent=BElement(Z, 1, 1), point=BElement(Z, 0, 1), "
+        "side='left', product=BElement(Z, 1, 2), "
+        "excluded_region=<ExcludedRegion.LEFT_IDEAL: 'left-ideal'>)",
+    ),
+    (
+        SuiteConfig("Z", 2, 1, ("axioms",)),
+        ("group", "window", "sample_seed", "suites"),
+        "SuiteConfig(group='Z', window=2, sample_seed=1, suites=('axioms',))",
+    ),
+    (
+        _CHECK,
+        ("suite", "name", "status", "cases", "counterexample", "wall_ms"),
+        "CheckResult(suite='axioms', name='group-laws', status='pass', cases=3, "
+        "counterexample=None, wall_ms=0.5)",
+    ),
+    (
+        SuiteReport("Z", 2, 0, (_CHECK,)),
+        ("group", "window", "sample_seed", "checks"),
+        "SuiteReport(group='Z', window=2, sample_seed=0, checks=(CheckResult(suite='axioms', "
+        "name='group-laws', status='pass', cases=3, counterexample=None, wall_ms=0.5),))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, text", _RECORDS, ids=[type(r).__name__ for r, _, _ in _RECORDS]
+)
+def test_record_value_semantics(record, fields, text):
+    cls = type(record)
+    values = tuple(getattr(record, f) for f in fields)
+    assert cls.__match_args__ == fields
+    assert repr(record) == text
+    # positional and keyword construction give equal values that hash alike
+    for twin in (cls(*values), cls(**dict(zip(fields, values))),
+                 copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls
+        assert twin == record and hash(twin) == hash(record)
+        assert tuple(getattr(twin, f) for f in fields) == values
+    # equality is by class, then fields
+    for other, _, _ in _RECORDS:
+        if other is not record:
+            assert record != other and record.__eq__(other) is NotImplemented
+    assert record != values
+    for name in (*fields, "unknown"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    assert tuple(getattr(record, f) for f in fields) == values
+
+
+def test_record_defaults():
+    assert ConeVerdict(True, True, False).counterexample is None
+    assert SolutionSet(SolutionKind.NO_SOLUTION) == SolutionSet(SolutionKind.NO_SOLUTION, None)
+    assert SuiteConfig("Z") == SuiteConfig("Z", 4, 0, ())
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        SuiteConfig("Z", window=0)
+    with pytest.raises(ValueError, match="unknown suite name"):
+        SuiteConfig("Z", suites=("nonsense",))
+    with pytest.raises(ValueError, match="unknown group selector"):
+        SuiteConfig("R")
 
 
 def test_carrier_instances_compare_by_type(any_group):
