@@ -12,7 +12,6 @@ instead of being returned.
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
@@ -25,10 +24,10 @@ from .errors import (
 from .ogroups import Bounds, Element, OrderedGroup, successor_check
 from .pairs import BElement, idempotent
 from .natorder import SolutionKind, ideal_member, solve_left, solve_right
+from .records import Record, _store
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
+class DensityVerdict(Record):
     """Evidence-backed classification of a carrier's order.
 
     Discrete carriers report the minimal positive element; dense carriers
@@ -36,10 +35,19 @@ class DensityVerdict:
     positive witness.
     """
 
-    densely_ordered: bool
-    minimal_positive: Optional[Element]
-    witnesses: Tuple[Tuple[Element, Element], ...]
-    checked: int
+    __slots__ = __match_args__ = ("densely_ordered", "minimal_positive", "witnesses", "checked")
+
+    def __init__(
+        self,
+        densely_ordered: bool,
+        minimal_positive: Optional[Element],
+        witnesses: Tuple[Tuple[Element, Element], ...],
+        checked: int,
+    ):
+        _store(self, "densely_ordered", densely_ordered)
+        _store(self, "minimal_positive", minimal_positive)
+        _store(self, "witnesses", witnesses)
+        _store(self, "checked", checked)
 
 
 def density_probe(group: OrderedGroup, samples: Sequence[Element]) -> DensityVerdict:
@@ -73,8 +81,7 @@ def density_probe(group: OrderedGroup, samples: Sequence[Element]) -> DensityVer
     return DensityVerdict(False, minimal, (), checked)
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(Record):
     """Two verified one-unknown equations linking a seed pair to a target.
 
     The right translator pulls the seed back to the intermediate, which
@@ -84,11 +91,23 @@ class WitnessChain:
     pointwise at the seed transfers along translations to the target.
     """
 
-    seed: BElement
-    target: BElement
-    right_translator: BElement
-    intermediate: BElement
-    left_translator: BElement
+    __slots__ = __match_args__ = (
+        "seed", "target", "right_translator", "intermediate", "left_translator"
+    )
+
+    def __init__(
+        self,
+        seed: BElement,
+        target: BElement,
+        right_translator: BElement,
+        intermediate: BElement,
+        left_translator: BElement,
+    ):
+        _store(self, "seed", seed)
+        _store(self, "target", target)
+        _store(self, "right_translator", right_translator)
+        _store(self, "intermediate", intermediate)
+        _store(self, "left_translator", left_translator)
 
 
 def build_witness_chain(seed: BElement, target: BElement) -> WitnessChain:
@@ -143,15 +162,24 @@ class ExcludedRegion(Enum):
     LEFT_IDEAL = "left-ideal"  # second coordinate at least the anchor's successor
 
 
-@dataclass(frozen=True)
-class EscapeCertificate:
+class EscapeCertificate(Record):
     """A translation that expels a region point from any candidate neighbourhood."""
 
-    idempotent: BElement
-    point: BElement
-    side: str  # which translation expels: "left" or "right"
-    product: BElement
-    excluded_region: ExcludedRegion
+    __slots__ = __match_args__ = ("idempotent", "point", "side", "product", "excluded_region")
+
+    def __init__(
+        self,
+        idempotent: BElement,
+        point: BElement,
+        side: str,  # which translation expels: "left" or "right"
+        product: BElement,
+        excluded_region: ExcludedRegion,
+    ):
+        _store(self, "idempotent", idempotent)
+        _store(self, "point", point)
+        _store(self, "side", side)
+        _store(self, "product", product)
+        _store(self, "excluded_region", excluded_region)
 
 
 class _OffDiagonal(abc.Sequence):

@@ -3,9 +3,10 @@ the property-suite runner.
 
 Exit codes: 0 for success (including not-applicable verdicts), 1 when a
 suite or composition check fails, 2 for usage errors (bad flags, bad
-literals, operations invoked outside their stated domain) and for results
-too long to render.  JSON output is schema-stable and sorted; text output
-is for reading.
+literals, operations invoked outside their stated domain), for results
+too long to render, and for answers cut short because standard output
+was closed.  JSON output is schema-stable and sorted; text output is for
+reading.
 
 A command name followed only by exact tokens (see ``_parse_exact``) is
 read by that command's table, with no argparse pass; every other line
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -486,7 +488,23 @@ def _exceeds_digit_limit(exc: ValueError) -> bool:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _parse_command_line(sys.argv[1:] if argv is None else argv)
+    try:
+        try:
+            return _answer(sys.argv[1:] if argv is None else argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output before the answer was written;
+        # what is still buffered goes to the null device instead, so the
+        # interpreter's final flush cannot raise too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+
+
+def _answer(argv: list) -> int:
+    args = _parse_command_line(argv)
     try:
         return args.fn(args, GROUPS[args.group])
     except ParseError as exc:

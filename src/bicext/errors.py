@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Frozen values (pairs, shifts and the records in ``records``) raise
+``dataclasses.FrozenInstanceError``, which is not a ``BicextError``; see
+``frozen_instance_error``.
+"""
 
 
 class BicextError(Exception):
@@ -43,3 +48,18 @@ class ParseError(BicextError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
+
+
+def frozen_instance_error(action: str, name: str) -> AttributeError:
+    """The error a frozen value raises on an attempt to ``action`` (``"assign
+    to"`` or ``"delete"``) its field ``name``.
+
+    It is ``dataclasses.FrozenInstanceError``, an ``AttributeError``, the
+    class frozen dataclasses raise, so callers catch one class for every
+    frozen value.  It is imported here, on this error path only: loading
+    ``dataclasses`` also loads ``inspect``, ``ast`` and ``dis``, which an
+    import of bicext otherwise never needs.
+    """
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(f"cannot {action} field {name!r}")

@@ -20,7 +20,6 @@ and in S * e exactly when s * e = s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, Literal, Optional
 
@@ -35,6 +34,7 @@ from .errors import (
 from .literals import pair_to_json
 from .ogroups import Bounds, Element
 from .pairs import BElement, _make
+from .records import Record, _store
 
 Side = Literal["left", "right"]
 
@@ -98,8 +98,7 @@ class SolutionKind(Enum):
     UP_SET = "UpSet"
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(Record):
     """Solution set of a one-unknown pair equation.
 
     ``element`` is the unique solution for UNIQUE and the least element
@@ -107,8 +106,11 @@ class SolutionSet:
     member test, so up-sets are never enumerated here.
     """
 
-    kind: SolutionKind
-    element: Optional[BElement] = None
+    __slots__ = __match_args__ = ("kind", "element")
+
+    def __init__(self, kind: SolutionKind, element: Optional[BElement] = None):
+        _store(self, "kind", kind)
+        _store(self, "element", element)
 
     def contains(self, candidate: BElement) -> bool:
         if self.kind is SolutionKind.NO_SOLUTION:

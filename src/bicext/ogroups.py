@@ -23,13 +23,13 @@ hashing or equality read a slot these stores leave unset.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import NotApplicable
+from .records import Record, _store
 
 Element = Union[int, Fraction, Tuple[int, ...]]
 Bounds = Union[int, Tuple[int, int]]
@@ -387,18 +387,26 @@ H3 = HeisenbergGroup()
 GROUPS = {"Z": Z, "Q": Q, "ZxZ": ZXZ, "H3": H3}
 
 
-@dataclass(frozen=True)
-class ConeVerdict:
+class ConeVerdict(Record):
     """Outcome of brute-checking the three positive-cone axioms.
 
     A counterexample pair is present exactly when some axiom flag is
     false; it is the first offender found, in axiom order.
     """
 
-    axiom1_ok: bool  # cone closed under multiplication
-    axiom2_ok: bool  # cone meets its own inverses only at the identity
-    axiom3_ok: bool  # cone stable under conjugation
-    counterexample: Optional[Tuple[Element, Element]] = None
+    __slots__ = __match_args__ = ("axiom1_ok", "axiom2_ok", "axiom3_ok", "counterexample")
+
+    def __init__(
+        self,
+        axiom1_ok: bool,  # cone closed under multiplication
+        axiom2_ok: bool,  # cone meets its own inverses only at the identity
+        axiom3_ok: bool,  # cone stable under conjugation
+        counterexample: Optional[Tuple[Element, Element]] = None,
+    ):
+        _store(self, "axiom1_ok", axiom1_ok)
+        _store(self, "axiom2_ok", axiom2_ok)
+        _store(self, "axiom3_ok", axiom3_ok)
+        _store(self, "counterexample", counterexample)
 
     @property
     def all_ok(self) -> bool:

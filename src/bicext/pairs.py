@@ -19,15 +19,17 @@ its inline copy in ``__mul__``: plain attribute stores on a
 raising ``__setattr__`` that keeps a finished value frozen would refuse
 those stores, so they go to the layout twin, which has the same slots
 and no ``__setattr__``; CPython allows the ``__class__`` assignment
-because the two layouts are identical.
+because the two layouts are identical.  That ``__setattr__`` (and
+``__delattr__``) raises ``dataclasses.FrozenInstanceError``, the class
+frozen dataclasses raise, built by ``errors.frozen_instance_error``,
+which imports it only on that error path.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import List, Sequence
 
-from .errors import InstanceMismatch
+from .errors import InstanceMismatch, frozen_instance_error
 from .ogroups import Bounds, Element, OrderedGroup
 
 
@@ -56,10 +58,10 @@ class BElement(_PairSlots):
         return _make(group, left, right)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise frozen_instance_error("assign to", name)
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise frozen_instance_error("delete", name)
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the checked constructor

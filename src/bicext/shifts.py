@@ -17,14 +17,16 @@ guards the closure of ``mul`` and ``inv`` that this relies on.
 Shifts are filled as pairs are (see ``pairs``): ``_shift`` stores the
 fields on a ``_ShiftSlots`` layout twin, which has no raising
 ``__setattr__``, and retags the finished object as a ``PartialShift``.
+As on pairs, that ``__setattr__`` and ``__delattr__`` raise
+``dataclasses.FrozenInstanceError`` through
+``errors.frozen_instance_error``, which imports it only when it raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import Iterable
 
-from .errors import InstanceMismatch, OutOfDomain
+from .errors import InstanceMismatch, OutOfDomain, frozen_instance_error
 from .ogroups import Element, OrderedGroup
 from .pairs import BElement
 
@@ -52,10 +54,10 @@ class PartialShift(_ShiftSlots):
         return _shift(group, dom_anchor, cod_anchor)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise frozen_instance_error("assign to", name)
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise frozen_instance_error("delete", name)
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the checked constructor
@@ -136,10 +138,11 @@ def compose_pointwise_oracle(
     """
     composite = compose(m1, m2)
     for x in samples:
-        chained = m1.in_domain(x) and m2.in_domain(m1.apply(x))
+        image = m1.apply(x) if m1.in_domain(x) else None
+        chained = image is not None and m2.in_domain(image)
         if composite.in_domain(x) != chained:
             return False
-        if chained and composite.apply(x) != m2.apply(m1.apply(x)):
+        if chained and composite.apply(x) != m2.apply(image):
             return False
     return True
 

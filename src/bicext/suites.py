@@ -33,7 +33,6 @@ import operator
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -57,6 +56,7 @@ from .natorder import (
 )
 from .ogroups import GROUPS, OrderedGroup, check_positive_cone_axioms, successor_check
 from .pairs import BElement, idempotent, pairs_over
+from .records import Record, _store
 from .shifts import (
     PartialShift,
     compose_pointwise_oracle,
@@ -69,23 +69,29 @@ BUDGET = 20_000
 MAX_ELEMENT_POOL = 64
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(Record):
     """One suite run: which carrier, how wide, which seed, which checks."""
 
-    group: object  # selector string or an OrderedGroup instance
-    window: int = 4
-    sample_seed: int = 0
-    suites: Tuple[str, ...] = ()  # empty tuple means every suite
+    __slots__ = __match_args__ = ("group", "window", "sample_seed", "suites")
 
-    def __post_init__(self):
-        if self.window < 1:
+    def __init__(
+        self,
+        group: object,  # selector string or an OrderedGroup instance
+        window: int = 4,
+        sample_seed: int = 0,
+        suites: Tuple[str, ...] = (),  # empty tuple means every suite
+    ):
+        _store(self, "group", group)
+        _store(self, "window", window)
+        _store(self, "sample_seed", sample_seed)
+        _store(self, "suites", suites)
+        if window < 1:
             raise ValueError("window must be >= 1")
-        unknown = [s for s in self.suites if s not in SUITES]
+        unknown = [s for s in suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite name(s): {', '.join(sorted(unknown))}")
-        if not isinstance(self.group, OrderedGroup) and self.group not in GROUPS:
-            raise ValueError(f"unknown group selector {self.group!r}")
+        if not isinstance(group, OrderedGroup) and group not in GROUPS:
+            raise ValueError(f"unknown group selector {group!r}")
 
     def resolve_group(self) -> OrderedGroup:
         if isinstance(self.group, OrderedGroup):
@@ -98,24 +104,36 @@ class SuiteConfig:
         return tuple(name for name in SUITES if name in self.suites)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    status: str  # pass | fail | not-applicable
-    cases: int
-    counterexample: Optional[str]
-    wall_ms: float
+class CheckResult(Record):
+    __slots__ = __match_args__ = ("suite", "name", "status", "cases", "counterexample", "wall_ms")
+
+    def __init__(
+        self,
+        suite: str,
+        name: str,
+        status: str,  # pass | fail | not-applicable
+        cases: int,
+        counterexample: Optional[str],
+        wall_ms: float,
+    ):
+        _store(self, "suite", suite)
+        _store(self, "name", name)
+        _store(self, "status", status)
+        _store(self, "cases", cases)
+        _store(self, "counterexample", counterexample)
+        _store(self, "wall_ms", wall_ms)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     """Results of one run; totals always add up to the check list."""
 
-    group: str
-    window: int
-    sample_seed: int
-    checks: Tuple[CheckResult, ...]
+    __slots__ = __match_args__ = ("group", "window", "sample_seed", "checks")
+
+    def __init__(self, group: str, window: int, sample_seed: int, checks: Tuple[CheckResult, ...]):
+        _store(self, "group", group)
+        _store(self, "window", window)
+        _store(self, "sample_seed", sample_seed)
+        _store(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

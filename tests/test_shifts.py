@@ -48,6 +48,17 @@ def test_compose_anchor_examples():
     )
 
 
+def test_pointwise_oracle_applies_each_shift_once_per_point(counting):
+    # compose makes 4 products and 2 inverses; each of the 9 chained points
+    # then takes one apply of m1, of m2 and of the composite, at 2 products
+    # and 1 inverse each, and the 2 points below dom(m1) take none
+    carrier, calls = counting(Z)
+    m1, m2 = PartialShift(carrier, 0, 2), PartialShift(carrier, 1, 3)
+    calls.clear()
+    assert compose_pointwise_oracle(m1, m2, range(-2, 9))
+    assert (calls["mul"], calls["inv"]) == (4 + 9 * 6, 2 + 9 * 3)
+
+
 def test_pointwise_oracle_on_integers():
     samples = list(range(-4, 9))
     anchors = Z.window(3)

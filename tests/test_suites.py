@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import weakref
@@ -8,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from bicext import certificates, suites
-from bicext.certificates import DensityVerdict
+from bicext.certificates import DensityVerdict, WitnessChain
 from bicext.natorder import SolutionKind, SolutionSet
 from bicext.ogroups import GROUPS, IntegerGroup
 from bicext.pairs import BElement, idempotent
@@ -460,12 +459,13 @@ def test_witness_chains_test_each_step_in_the_window(monkeypatch, field, cases, 
     # up-set, so the step's window solutions are no longer the chain's own;
     # the first chain's target is its intermediate, so step two passes there
     real = suites.build_witness_chain
-    bottom = idempotent(Z, -2)
-    monkeypatch.setattr(
-        suites,
-        "build_witness_chain",
-        lambda seed, target: dataclasses.replace(real(seed, target), **{field: bottom}),
-    )
+
+    def swapped(seed, target):
+        chain = real(seed, target)
+        fields = {name: getattr(chain, name) for name in WitnessChain.__match_args__}
+        return WitnessChain(**{**fields, field: idempotent(Z, -2)})
+
+    monkeypatch.setattr(suites, "build_witness_chain", swapped)
     assert _check("witness-chains")(suites._Ctx(Z, 2, 0)) == ("fail", cases, counter)
 
 
