@@ -444,21 +444,22 @@ def test_console_script_reads_sys_argv(monkeypatch, capsys):
 _SRC = str(Path(bicext.__file__).resolve().parents[1])
 
 
-def _python(args, unbuffered=True, **kwargs):
-    """Run a fresh interpreter that imports this checkout's ``bicext``."""
+def _python(args, unbuffered=True):
+    """Start a fresh interpreter that imports this checkout's ``bicext``,
+    with standard output and error piped."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen([sys.executable, *args], env=env, stderr=subprocess.PIPE,
-                            text=True, **kwargs)
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
 
 
 def test_importing_bicext_loads_neither_dataclasses_nor_inspect():
     # a one-shot query is a fresh process, so its import time is its latency
     code = ("import sys; before = set(sys.modules); import bicext, bicext.cli; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    proc = _python(["-c", code], stdout=subprocess.PIPE)
+    proc = _python(["-c", code])
     out, err = proc.communicate(timeout=60)
     assert (proc.returncode, out, err) == (0, "[]\n", "")
 
@@ -472,13 +473,13 @@ def test_importing_bicext_loads_neither_dataclasses_nor_inspect():
 def test_a_reader_that_closes_early_gets_exit_2_and_no_traceback(argv, unbuffered):
     # the reader is gone before the answer is written, so every write of it
     # meets a closed pipe, in the print itself or in the final flush
-    proc = _python(["-m", "bicext.cli", *argv], unbuffered, stdout=subprocess.PIPE)
+    proc = _python(["-m", "bicext.cli", *argv], unbuffered)
     proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (2, "")
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, "")
 
 
-_NOISE =st.text("[]|(),/-+ 0123456789x", max_size=10)
+_NOISE = st.text("[]|(),/-+ 0123456789x", max_size=10)
 _PAYLOAD = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.fractions(max_denominator=50).map(str),
