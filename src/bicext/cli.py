@@ -5,8 +5,11 @@ Exit codes: 0 for success (including not-applicable verdicts), 1 when a
 suite or composition check fails, 2 for usage errors (bad flags, bad
 literals, operations invoked outside their stated domain), for results
 too long to render, and for answers cut short because standard output
-was closed.  JSON output is schema-stable and sorted; text output is for
-reading.
+was closed.  ``--output json`` answers are schema-stable, in the bytes
+``json.dumps(payload, sort_keys=True, indent=2)`` writes; one emitter,
+``_json_text``, writes them all, and the property test
+``tests/test_cli.py::test_json_text_matches_json_dumps`` holds it to
+those bytes.  Text output is for reading.
 
 A command name followed only by exact tokens (see ``_parse_exact``) is
 read by that command's table, with no argparse pass; every other line
@@ -19,9 +22,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .certificates import build_witness_chain, density_probe, escape_certificate, escape_region
@@ -48,15 +51,44 @@ from .suites import SuiteConfig, run_suites
 WINDOW_BUDGET = 10_000
 
 
-# one encoder for every JSON answer; json.dumps would build one per call
-_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it,
+    byte for byte, for dicts with str keys, lists, tuples, str, int, float,
+    bool and None; any other type is a TypeError.  ``indent`` sends json
+    to its pure-Python encoder, so every answer is written here instead,
+    quoting strings with json's own C function.  ``newline`` is the line
+    break and indent that close ``value``'s own level."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [_quote(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(output: str, payload, text):
     """Print the answer in the ``output`` form: ``payload`` and ``text`` are
     callables building the JSON object and the text, and only the one
     printed is called."""
-    print(_JSON.encode(payload()) if output == "json" else text())
+    print(_json_text(payload()) if output == "json" else text())
 
 
 def _refuse_window(command: str, window: int, work: str) -> int:
@@ -527,7 +559,7 @@ def _answer(argv: list) -> int:
         limit = sys.get_int_max_str_digits()
         reason = f"the result holds an integer longer than {limit} digits, which cannot be rendered"
         if args.output == "json":
-            print(_JSON.encode({"result_error": reason, "digit_limit": limit}))
+            print(_json_text({"result_error": reason, "digit_limit": limit}))
         else:
             print(f"result error: {reason}", file=sys.stderr)
         return 2

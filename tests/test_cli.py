@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tomllib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import bicext
 from bicext import cli
 from bicext.cli import _parse_command_line, build_parser, main
 from bicext.ogroups import GROUPS
-from bicext.suites import SUITES
+from bicext.suites import SUITES, SuiteConfig, run_suites
 
 
 def run(capsys, *argv):
@@ -327,6 +328,52 @@ def test_unrenderable_result_is_a_result_error(capsys):
     assert code == 2 and err == ""
     payload = json.loads(out)
     assert payload["digit_limit"] == limit and f"{limit} digits" in payload["result_error"]
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_ELEMENT = {"left": "(1,-2)", "right": "(0,3)"}
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0])
+    | st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(st.characters(exclude_categories=()))  # lone surrogates and control characters too
+    | st.sampled_from(['"', "\\", '\\"', "\u00e9\u2028\U0001f600", "\ud800", "\x00\x1f\x7f"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(st.characters(exclude_categories=())), inner),
+    max_leaves=30,
+)
+
+
+# every README "JSON schemas" shape, a whole report with its wall_ms
+# floats, and a type json refuses too
+@given(_JSON_VALUES)
+@example({"element": _ELEMENT})
+@example({"kind": "NoSolution", "element": None})
+@example({"kind": "UpSet", "element": _ELEMENT})
+@example({"leq": True, "oracle": False})
+@example({"member": False})
+@example({"base": _ELEMENT, "window": [-2, 2], "members": [_ELEMENT, _ELEMENT]})
+@example({"base": _ELEMENT, "window": [0, 0], "members": []})
+@example({k: _ELEMENT for k in ("seed", "target", "right_translator", "intermediate", "left_translator")})
+@example({"not_applicable": False, "anchor": "0", "points": 1, "certificates": [
+    {"point": _ELEMENT, "side": "left", "product": _ELEMENT, "excluded_region": "below"}]})
+@example({"not_applicable": True, "reason": "densely ordered carrier", "density_witnesses": 3})
+@example({"value": "-3/4"})
+@example({"ok": True, "pairs": 81, "points": 3})
+@example({"result_error": "the result holds an integer longer than 4300 digits", "digit_limit": 4300})
+@example(run_suites(SuiteConfig(group="Z", window=1)).to_json())
+@example({"checks": [{"wall_ms": 0.5}], "window": (1, {}), "x": Fraction(1, 2)})
+def test_json_text_matches_json_dumps(value):
+    try:
+        expected = json.JSONEncoder(sort_keys=True, indent=2).encode(value)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+    else:
+        assert cli._json_text(value) == expected
 
 
 def test_usage_error_exit_code():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicext.errors import ParseError
-from bicext.literals import _match_pair, _step_pair, parse, parse_pair, parse_payload
+from bicext.literals import _match_pair, _step_pair, pair_to_json, parse, parse_pair, parse_payload
 from bicext.ogroups import H3, Q, Z, ZXZ
 from bicext.pairs import BElement
 
@@ -88,6 +88,14 @@ def test_overlong_integer_literal_is_a_parse_error():
             parse_pair(text, group)
         assert exc.value.offset == offset
         assert "digits" in str(exc.value)
+
+
+def test_rendering_past_the_digit_limit_raises_the_interpreters_value_error():
+    # the library does not catch it; only the CLI turns it into a result error
+    s = BElement(Z, 10**5000, 0)
+    for render in (str, pair_to_json):
+        with pytest.raises(ValueError, match="digits"):
+            render(s)
 
 
 def test_wrong_arity():

@@ -318,6 +318,16 @@ def test_ideal_product_sets_catch_a_wrong_membership(monkeypatch):
     assert counter == "ideal test disagrees with brute force: [1|-1], anchor 0, right, bplus=False"
 
 
+def test_dl_set_equivalence_catches_a_wrong_order_test(monkeypatch):
+    # the third characterization, [a|a] below s in the natural order, must
+    # agree with the other two: a negated nat_leq splits them at once
+    real = suites.nat_leq
+    monkeypatch.setattr(suites, "nat_leq", lambda s, t: not real(s, t))
+    status, cases, counter = _check("dl-set-equivalence")(suites._Ctx(Z, 2, 0))
+    assert (status, cases) == ("fail", 1)
+    assert counter == "stabilizer test splits at [-2|-2], anchor -2"
+
+
 def test_solver_rows_cut_carrier_comparisons(counting):
     # Z window 4, seed 0: 625 samples over a 25-pair pool.  One product
     # per (known, w) instead of one per (target, known, w) brings the
