@@ -5,7 +5,8 @@ library ships the order abstraction with four exact carriers, the pair
 semigroup and its positive part, anchored partial shifts with a
 composition oracle, the natural partial order with complete one-unknown
 equation solvers, constructive discreteness certificates, and a property
-suite runner that brute-checks every claim on finite windows.
+suite runner that brute-checks every claim on finite windows; the runner
+loads on first use, so a one-shot query, a fresh process, does not compile it.
 """
 
 from .certificates import (
@@ -65,7 +66,6 @@ from .shifts import (
     pair_product_matches_shifts,
     pair_to_shift,
 )
-from .suites import SuiteConfig, SuiteReport, run_suites
 
 __version__ = "0.1.0"
 
@@ -125,3 +125,15 @@ __all__ = [
     "successor_check",
     "up_set_window",
 ]
+
+
+def __getattr__(name):
+    if name not in ("SuiteConfig", "SuiteReport", "run_suites"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import suites
+    globals()[name] = value = getattr(suites, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -42,7 +42,6 @@ from .natorder import (
 from .ogroups import GROUPS
 from .pairs import BElement
 from .shifts import PartialShift, compose_pointwise_oracle
-from .suites import SuiteConfig, run_suites
 
 # most a window command may handle: the window elements `upset` walks or
 # `check` builds (H3 at window 10 has 9,261), the window pairs `escape`
@@ -313,6 +312,8 @@ def _cmd_check(args, group) -> int:
         elems **= 2  # bounds Q's grid, as in `escape`
     if elems > WINDOW_BUDGET:
         return _refuse_window("check", args.window, f"build {elems} window elements")
+    # loaded here, not at the top, so one-shot queries do not compile the suites
+    from .suites import SuiteConfig, run_suites
     if args.suites in ("all", ""):
         suites: tuple = ()
     else:

@@ -511,6 +511,54 @@ def test_importing_bicext_loads_neither_dataclasses_nor_inspect():
     assert (proc.returncode, out, err) == (0, "[]\n", "")
 
 
+# one README line for each one-shot command that answers from the library
+_ONE_SHOT_LINES = [
+    ["mul", "--group", "ZxZ", "[(0,0)|(0,1)]", "[(1,0)|(2,3)]"],
+    ["leq", "--s", "[3|5]", "--t", "[1|3]"],
+    ["solve", "--group", "Z", "--target", "[5|2]", "--known", "[3|4]", "--side", "right"],
+    ["upset", "--base", "[2|3]", "--window", "4"],
+    ["escape", "--group", "Z", "--a", "0", "--window", "4"],
+    ["pmap", "apply", "--group", "Z", "--g", "2", "--h", "5", "--x", "3"],
+]
+
+
+def test_one_shot_queries_run_without_loading_the_suites():
+    # the suite runner is compiled only by the process that runs a check
+    code = f"""
+import contextlib, io, sys
+from bicext import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in {_ONE_SHOT_LINES!r}]
+    queried = "bicext.suites" in sys.modules
+    checked = cli.main(["check", "--window", "1", "--suites", "axioms"])
+print((codes, queried, checked, "bicext.suites" in sys.modules))
+"""
+    proc = _python(["-c", code])
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (0, f"{([0] * 6, False, 0, True)}\n", "")
+
+
+def test_public_surface_resolves_every_name_in_all():
+    for name in bicext.__all__:
+        getattr(bicext, name)
+    star: dict = {}
+    exec("from bicext import *", star)
+    assert set(bicext.__all__) <= star.keys()
+    assert (star["run_suites"], star["SuiteConfig"], star["SuiteReport"]) == (
+        run_suites, SuiteConfig, bicext.suites.SuiteReport)
+    with pytest.raises(AttributeError) as raised:
+        bicext.no_such_name
+    assert str(raised.value) == "module 'bicext' has no attribute 'no_such_name'"
+
+
+def test_dir_lists_all_of_all_before_the_suites_load():
+    code = ("import sys, bicext; "
+            "print(set(bicext.__all__) <= set(dir(bicext)), 'bicext.suites' in sys.modules)")
+    proc = _python(["-c", code])
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (0, "True False\n", "")
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize(
     "argv",
