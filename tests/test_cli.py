@@ -17,7 +17,7 @@ import bicext
 from bicext import cli
 from bicext.cli import _parse_command_line, build_parser, main
 from bicext.ogroups import GROUPS
-from bicext.suites import SUITES, SuiteConfig, run_suites
+from bicext.suites import SUITES, SuiteConfig, SuiteReport, run_suites
 
 
 def run(capsys, *argv):
@@ -545,7 +545,7 @@ def test_public_surface_resolves_every_name_in_all():
     exec("from bicext import *", star)
     assert set(bicext.__all__) <= star.keys()
     assert (star["run_suites"], star["SuiteConfig"], star["SuiteReport"]) == (
-        run_suites, SuiteConfig, bicext.suites.SuiteReport)
+        run_suites, SuiteConfig, SuiteReport)
     with pytest.raises(AttributeError) as raised:
         bicext.no_such_name
     assert str(raised.value) == "module 'bicext' has no attribute 'no_such_name'"
