@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .literals import parse, parse_pair, parse_payload
+from .literals import parse_pair, parse_payload
 from .natorder import (
     SolutionKind,
     SolutionSet,
@@ -115,7 +115,6 @@ __all__ = [
     "pair_product_matches_shifts",
     "pair_to_shift",
     "pairs_in_window",
-    "parse",
     "parse_pair",
     "parse_payload",
     "run_suites",

@@ -14,8 +14,8 @@ those bytes.  Text output is for reading.
 A command name followed only by exact tokens (see ``_parse_exact``) is
 read by that command's table, with no argparse pass; every other line
 goes to ``parse_args``.  Parsers and tables are built once, on the first
-``main`` call; see ``build_parser``.  Each answer is built only in the
-form ``--output`` asks for.
+``main`` call; see ``_parsers``.  Each answer is built only in the form
+``--output`` asks for.
 """
 
 from __future__ import annotations
@@ -400,8 +400,15 @@ def _parse_exact(table: tuple, strings: list) -> Optional[argparse.Namespace]:
 
 @functools.cache
 def _parsers() -> tuple:
-    """The top-level parser and each command's exact-token table (see
-    ``_exact_table``) by command name, built once; see build_parser."""
+    """The one shared ``bicext`` parser, its command parsers by name, and
+    each command's exact-token table (see ``_exact_table``) by name.
+
+    They are built on the first call, and every later call returns the
+    same objects, so callers must not mutate them.  Reuse is safe because
+    ``parse_args`` returns a fresh namespace, no action has a mutable
+    default, and argparse looks up ``sys.stdout``/``sys.stderr`` when it
+    prints, not when it is built.
+    """
     # every command reads --group and --output; each other option is added
     # only to the commands that read it
     common = argparse.ArgumentParser(add_help=False)
@@ -480,30 +487,15 @@ def _parsers() -> tuple:
     add(p, "--suites", default="all")
     p.set_defaults(fn=_cmd_check)
 
-    # each command parser's prog is "bicext <name>"
-    return parser, {p.prog.split()[-1]: _exact_table(p, a) for p, a in actions.items()}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The one shared ``bicext`` parser, built on the first call.
-
-    Every later call returns the same object, so callers must not mutate
-    it.  Reuse is safe because ``parse_args`` returns a fresh namespace,
-    no action has a mutable default, and argparse looks up
-    ``sys.stdout``/``sys.stderr`` when it prints, not when it is built.
-    The command tables are built with it, once.  ``main`` reads a command
-    name followed only by exact tokens with that command's table (see
-    ``_parse_exact``) and every other line with ``parse_args``.
-    """
-    return _parsers()[0]
+    return parser, sub.choices, {name: _exact_table(p, actions[p]) for name, p in sub.choices.items()}
 
 
 def _parse_command_line(argv: list) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, apart from the namespace's
+    """``_parsers()[0].parse_args(argv)``, apart from the namespace's
     ``command``, which nothing reads: a command name followed only by exact
     tokens is read by that command's table with no argparse pass, and every
     other line by ``parse_args``."""
-    parser, tables = _parsers()
+    parser, _, tables = _parsers()
     table = tables.get(argv[0]) if argv else None
     args = None if table is None else _parse_exact(table, argv[1:])
     return parser.parse_args(argv) if args is None else args
@@ -538,6 +530,15 @@ def main(argv: Optional[list] = None) -> int:
 
 def _answer(argv: list) -> int:
     args = _parse_command_line(argv)
+    for dest, value in vars(args).items():
+        if value == []:
+            # argparse drops the "--" of an option given as --opt=-- and
+            # stores [], which no command reads; it is refused as argparse
+            # refuses an option given no value (only parse_args gets here:
+            # the exact-token table takes no value starting with "-")
+            _, commands, tables = _parsers()
+            option = next(s for s, a in tables[args.command][0].items() if a.dest == dest)
+            commands[args.command].error(f"argument {option}: expected one argument")
     try:
         return args.fn(args, GROUPS[args.group])
     except ParseError as exc:

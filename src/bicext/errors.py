@@ -1,8 +1,8 @@
 """Exception types shared across the library.
 
-Frozen values (pairs, shifts and the records in ``records``) raise
+Frozen values (pairs, shifts and the result records) refuse a store with
 ``dataclasses.FrozenInstanceError``, which is not a ``BicextError``; see
-``frozen_instance_error``.
+``records.frozen_instance_error``.
 """
 
 
@@ -49,17 +49,3 @@ class ParseError(BicextError):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
-
-def frozen_instance_error(action: str, name: str) -> AttributeError:
-    """The error a frozen value raises on an attempt to ``action`` (``"assign
-    to"`` or ``"delete"``) its field ``name``.
-
-    It is ``dataclasses.FrozenInstanceError``, an ``AttributeError``, the
-    class frozen dataclasses raise, so callers catch one class for every
-    frozen value.  It is imported here, on this error path only: loading
-    ``dataclasses`` also loads ``inspect``, ``ast`` and ``dis``, which an
-    import of bicext otherwise never needs.
-    """
-    from dataclasses import FrozenInstanceError
-
-    return FrozenInstanceError(f"cannot {action} field {name!r}")

@@ -22,7 +22,7 @@ import functools
 import re
 import sys
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Tuple
 
 from .errors import ParseError
 from .ogroups import Element, OrderedGroup
@@ -165,14 +165,6 @@ def parse_pair(text: str, group: OrderedGroup, offset: int = 0) -> BElement:
     """
     pair = _match_pair(text, group)
     return pair if pair is not None else _step_pair(text, group, offset)
-
-
-def parse(text: str, group: OrderedGroup) -> Union[Element, BElement]:
-    """Either literal form: a bracketed pair or a bare payload."""
-    body, _ = _strip(text, 0)
-    if body.startswith("["):
-        return parse_pair(text, group)
-    return parse_payload(text, group)
 
 
 def pair_to_json(s: BElement) -> dict:

@@ -16,21 +16,20 @@ over.
 Every value, checked or not, is filled the same way, by ``_make`` or
 its inline copy in ``__mul__``: plain attribute stores on a
 ``_PairSlots`` object, which is then retagged as a ``BElement``.  The
-raising ``__setattr__`` that keeps a finished value frozen would refuse
-those stores, so they go to the layout twin, which has the same slots
-and no ``__setattr__``; CPython allows the ``__class__`` assignment
-because the two layouts are identical.  That ``__setattr__`` (and
-``__delattr__``) raises ``dataclasses.FrozenInstanceError``, the class
-frozen dataclasses raise, built by ``errors.frozen_instance_error``,
-which imports it only on that error path.
+raising ``__setattr__`` that ``BElement`` inherits from
+``records.Record``, the one frozen-value base, would refuse those
+stores, so they go to the layout twin, which has the same slots and no
+``__setattr__``; CPython allows the ``__class__`` assignment because
+the two layouts are identical.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from .errors import InstanceMismatch, frozen_instance_error
+from .errors import InstanceMismatch
 from .ogroups import Bounds, Element, OrderedGroup
+from .records import Record
 
 
 class _PairSlots:
@@ -39,7 +38,7 @@ class _PairSlots:
     __slots__ = ("group", "left", "right")
 
 
-class BElement(_PairSlots):
+class BElement(_PairSlots, Record):
     """One element of the pair semigroup over a fixed ordered group.
 
     An immutable value: equal pairs hash alike, and assigning or deleting
@@ -57,16 +56,10 @@ class BElement(_PairSlots):
             )
         return _make(group, left, right)
 
-    def __setattr__(self, name, value):
-        raise frozen_instance_error("assign to", name)
-
-    def __delattr__(self, name):
-        raise frozen_instance_error("delete", name)
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the checked constructor
-        return BElement, (self.group, self.left, self.right)
-
+    # Record's __eq__ and __hash__ would give the same answers through a
+    # generic field walk; these spell the three fields out, because the
+    # suites compare and hash pairs on their hot path.  __repr__ below is
+    # the README's short form, BElement(Z, 0, 0), not Record's
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

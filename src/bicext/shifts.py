@@ -17,18 +17,19 @@ guards the closure of ``mul`` and ``inv`` that this relies on.
 Shifts are filled as pairs are (see ``pairs``): ``_shift`` stores the
 fields on a ``_ShiftSlots`` layout twin, which has no raising
 ``__setattr__``, and retags the finished object as a ``PartialShift``.
-As on pairs, that ``__setattr__`` and ``__delattr__`` raise
-``dataclasses.FrozenInstanceError`` through
-``errors.frozen_instance_error``, which imports it only when it raises.
+Everything else a frozen value needs (equality, hashing, ``repr``, the
+refused stores and the rebuild for copy and pickle) comes from
+``records.Record``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InstanceMismatch, OutOfDomain, frozen_instance_error
+from .errors import InstanceMismatch, OutOfDomain
 from .ogroups import Element, OrderedGroup
 from .pairs import BElement
+from .records import Record
 
 
 class _ShiftSlots:
@@ -37,7 +38,7 @@ class _ShiftSlots:
     __slots__ = ("group", "dom_anchor", "cod_anchor")
 
 
-class PartialShift(_ShiftSlots):
+class PartialShift(_ShiftSlots, Record):
     """Bijection from the cone at ``dom_anchor`` onto the cone at ``cod_anchor``.
 
     An immutable value: equal shifts hash alike, and assigning or deleting
@@ -52,32 +53,6 @@ class PartialShift(_ShiftSlots):
         if not (group.contains(dom_anchor) and group.contains(cod_anchor)):
             raise ValueError(f"anchor outside the {group.name} carrier")
         return _shift(group, dom_anchor, cod_anchor)
-
-    def __setattr__(self, name, value):
-        raise frozen_instance_error("assign to", name)
-
-    def __delattr__(self, name):
-        raise frozen_instance_error("delete", name)
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the checked constructor
-        return PartialShift, (self.group, self.dom_anchor, self.cod_anchor)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.dom_anchor, self.cod_anchor) == (
-            other.group, other.dom_anchor, other.cod_anchor
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.dom_anchor, self.cod_anchor))
-
-    def __repr__(self):
-        return (
-            f"PartialShift(group={self.group!r}, dom_anchor={self.dom_anchor!r}, "
-            f"cod_anchor={self.cod_anchor!r})"
-        )
 
     def in_domain(self, x: Element) -> bool:
         return self.group.leq(self.dom_anchor, x)

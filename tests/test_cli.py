@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import bicext
 from bicext import cli
-from bicext.cli import _parse_command_line, build_parser, main
+from bicext.cli import _parse_command_line, main
 from bicext.ogroups import GROUPS
 from bicext.suites import SUITES, SuiteConfig, SuiteReport, run_suites
 
@@ -462,7 +462,7 @@ def test_each_command_line_is_parsed_once(monkeypatch, capsys):
         assert passes == [], argv
     for argv in _PARSER_EDGES:
         del passes[:]
-        _parse_outcome(build_parser().parse_args, argv)
+        _parse_outcome(cli._parsers()[0].parse_args, argv)
         expected = passes[:]
         del passes[:]
         _parse_outcome(_parse_command_line, argv)
@@ -484,7 +484,7 @@ def test_console_script_reads_sys_argv(monkeypatch, capsys):
         main()
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
-    assert err.startswith(build_parser().format_usage())
+    assert err.startswith(cli._parsers()[0].format_usage())
     assert err.endswith("bicext: error: the following arguments are required: command\n")
 
 
@@ -572,6 +572,29 @@ def test_a_reader_that_closes_early_gets_exit_2_and_no_traceback(argv, unbuffere
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (2, "")
+
+
+# argparse drops the "--" of a value given as --opt=-- and stores [], which
+# must be refused as a value-less option is, never reach a command
+_DASHDASH_VALUES = [
+    ("--target", ["solve", "--target=--", "--known=[1|2]"]),
+    ("--s", ["leq", "--s=--", "--t", "[1|3]"]),
+    ("--window", ["upset", "--base", "[1|2]", "--window=--"]),
+    ("--group", ["leq", "--group=--", "--s", "[1|2]", "--t", "[1|3]"]),
+    ("--suites", ["check", "--window", "1", "--suites=--"]),
+    ("--side", ["solve", "--side=--", "--target", "[1|2]", "--known", "[1|3]"]),
+    ("--sample-seed", ["check", "--window", "1", "--suites", "axioms", "--sample-seed=--"]),
+    ("--output", ["mul", "[1|2]", "[3|4]", "--output=--"]),
+]
+
+
+@pytest.mark.parametrize("option, argv", _DASHDASH_VALUES, ids=[o for o, _ in _DASHDASH_VALUES])
+def test_an_option_given_as_equals_dashdash_is_a_usage_error(option, argv):
+    proc = _python(["-m", "bicext.cli", *argv])
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, "")
+    assert err.endswith(f"bicext {argv[0]}: error: argument {option}: expected one argument\n")
+    assert "Traceback" not in err
 
 
 _NOISE = st.text("[]|(),/-+ 0123456789x", max_size=10)
@@ -711,9 +734,8 @@ _COMMAND_FLAGS = {"solve": ["--bplus"], "ideal": ["--bplus"], "upset": ["--bplus
 def test_each_command_takes_only_the_options_it_reads():
     # every option a command accepts is one it reads: --window and
     # --sample-seed are refused where nothing reads them
-    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    _, commands, tables = cli._parsers()
     assert sorted(commands) == sorted(_COMMAND_OPTIONS)
-    tables = cli._parsers()[1]
     for name, p in commands.items():
         own = _COMMAND_OPTIONS[name][0] + _COMMAND_FLAGS.get(name, [])
         strings = {s for a in p._actions for s in a.option_strings}
@@ -725,8 +747,8 @@ def test_each_command_takes_only_the_options_it_reads():
 def test_an_option_a_command_does_not_read_is_a_usage_error(capsys, argv):
     own = _COMMAND_OPTIONS[argv[0]][0]
     for flag in {"--window", "--sample-seed"} - set(own):
-        refused = build_parser().format_usage() + f"bicext: error: unrecognized arguments: {flag} 1\n"
-        for parse in (build_parser().parse_args, _parse_command_line):
+        refused = cli._parsers()[0].format_usage() + f"bicext: error: unrecognized arguments: {flag} 1\n"
+        for parse in (cli._parsers()[0].parse_args, _parse_command_line):
             assert _parse_outcome(parse, argv + [flag, "1"]) == (2, "", refused)
         # before the command's own strings, the value may be read as a
         # positional, so only the exit code is pinned
@@ -789,7 +811,7 @@ def test_exact_token_parse_matches_parse_args(argv):
 
 
 def _assert_parse_parity(argv):
-    expected = _parse_outcome(build_parser().parse_args, argv)
+    expected = _parse_outcome(cli._parsers()[0].parse_args, argv)
     assert _parse_outcome(_parse_command_line, argv) == expected
 
 

@@ -7,27 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicext.errors import ParseError
-from bicext.literals import _match_pair, _step_pair, pair_to_json, parse, parse_pair, parse_payload
+from bicext.literals import _match_pair, _step_pair, pair_to_json, parse_pair, parse_payload
 from bicext.ogroups import H3, Q, Z, ZXZ
 from bicext.pairs import BElement
 
 
 def test_parse_examples():
-    assert parse("[3|5]", Z) == BElement(Z, 3, 5)
+    assert parse_pair("[3|5]", Z) == BElement(Z, 3, 5)
     assert parse_payload("2/4", Q) == Fraction(1, 2)
-    assert parse("[(0,1)|(1,0)]", ZXZ) == BElement(ZXZ, (0, 1), (1, 0))
+    assert parse_pair("[(0,1)|(1,0)]", ZXZ) == BElement(ZXZ, (0, 1), (1, 0))
     assert parse_payload("(1,0,-2)", H3) == (1, 0, -2)
     assert parse_payload("-3", Z) == -3
     assert parse_payload("-3/4", Q) == Fraction(-3, 4)
 
 
-def test_parse_dispatches_on_brackets():
-    assert parse("7", Z) == 7
-    assert isinstance(parse("[7|8]", Z), BElement)
-
-
 def test_whitespace_tolerated():
-    assert parse("[ 3 | 5 ]", Z) == BElement(Z, 3, 5)
+    assert parse_pair("[ 3 | 5 ]", Z) == BElement(Z, 3, 5)
     assert parse_payload("  42 ", Z) == 42
     assert parse_pair(" [1|2] ", Z) == BElement(Z, 1, 2)
 

@@ -1,6 +1,8 @@
 import copy
+import importlib
 import itertools
 import pickle
+import pkgutil
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bicext
 from bicext.certificates import build_witness_chain, density_probe, escape_certificate
 from bicext.errors import InstanceMismatch
 from bicext.natorder import (
@@ -21,6 +24,7 @@ from bicext.natorder import (
 )
 from bicext.ogroups import GROUPS, H3, Q, Z, ZXZ, ConeVerdict, check_positive_cone_axioms
 from bicext.pairs import BElement, idempotent, pairs_in_window
+from bicext.shifts import PartialShift
 from bicext.suites import CheckResult, SuiteConfig, SuiteReport
 
 
@@ -193,8 +197,15 @@ def test_value_semantics(any_group):
 
 _CHAIN = build_witness_chain(BElement(Z, 0, 1), BElement(Z, 2, -1))
 _CHECK = CheckResult("axioms", "group-laws", "pass", 3, None, 0.5)
-# one value of each frozen record, its fields in constructor order, and its repr
+# one value of each frozen record and of the two algebra values, its fields
+# in constructor order, and its repr
 _RECORDS = [
+    (BElement(Z, 0, 1), ("group", "left", "right"), "BElement(Z, 0, 1)"),
+    (
+        PartialShift(Z, 0, 1),
+        ("group", "dom_anchor", "cod_anchor"),
+        "PartialShift(group=<ordered group Z>, dom_anchor=0, cod_anchor=1)",
+    ),
     (
         check_positive_cone_axioms(Z, [0, 1]),
         ("axiom1_ok", "axiom2_ok", "axiom3_ok", "counterexample"),
@@ -270,6 +281,19 @@ def test_record_value_semantics(record, fields, text):
         with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
             delattr(record, name)
     assert tuple(getattr(record, f) for f in fields) == values
+
+
+def test_record_alone_defines_the_frozen_protocol():
+    # records.Record is the one frozen-value base: no other class in the
+    # package refuses stores or says how it is rebuilt
+    defined = set()
+    for info in pkgutil.iter_modules(bicext.__path__):
+        module = importlib.import_module(f"bicext.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                defined |= {(cls.__qualname__, name) for name in vars(cls)
+                            if name in ("__setattr__", "__delattr__", "__reduce__")}
+    assert defined == {("Record", "__setattr__"), ("Record", "__delattr__"), ("Record", "__reduce__")}
 
 
 def test_record_defaults():
