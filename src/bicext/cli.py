@@ -487,7 +487,8 @@ def _parsers() -> tuple:
     add(p, "--suites", default="all")
     p.set_defaults(fn=_cmd_check)
 
-    return parser, sub.choices, {name: _exact_table(p, actions[p]) for name, p in sub.choices.items()}
+    commands = sub.choices
+    return parser, commands, {name: _exact_table(p, actions[p]) for name, p in commands.items()}
 
 
 def _parse_command_line(argv: list) -> argparse.Namespace:
@@ -530,15 +531,14 @@ def main(argv: Optional[list] = None) -> int:
 
 def _answer(argv: list) -> int:
     args = _parse_command_line(argv)
-    for dest, value in vars(args).items():
-        if value == []:
-            # argparse drops the "--" of an option given as --opt=-- and
-            # stores [], which no command reads; it is refused as argparse
-            # refuses an option given no value (only parse_args gets here:
-            # the exact-token table takes no value starting with "-")
-            _, commands, tables = _parsers()
-            option = next(s for s, a in tables[args.command][0].items() if a.dest == dest)
-            commands[args.command].error(f"argument {option}: expected one argument")
+    if [] in vars(args).values():
+        # argparse drops the "--" of an option given as --opt=-- and stores
+        # [], which no command reads; it is refused as argparse refuses an
+        # option given no value (only parse_args gets here: the exact-token
+        # table takes no value starting with "-")
+        _, commands, tables = _parsers()
+        option = next(s for s, a in tables[args.command][0].items() if getattr(args, a.dest) == [])
+        commands[args.command].error(f"argument {option}: expected one argument")
     try:
         return args.fn(args, GROUPS[args.group])
     except ParseError as exc:
