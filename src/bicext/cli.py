@@ -531,14 +531,16 @@ def main(argv: Optional[list] = None) -> int:
 
 def _answer(argv: list) -> int:
     args = _parse_command_line(argv)
-    if [] in vars(args).values():
-        # argparse drops the "--" of an option given as --opt=-- and stores
-        # [], which no command reads; it is refused as argparse refuses an
-        # option given no value (only parse_args gets here: the exact-token
-        # table takes no value starting with "-")
+    if hasattr(args, "command"):
+        # only a parse_args namespace has one, and only parse_args reads an
+        # option given as --opt=--: it drops the "--" and stores [], which
+        # no command reads, so that is refused as argparse refuses an
+        # option given no value.  Reading the values one by one, not
+        # through vars(args), keeps the namespace's attributes off a dict
         _, commands, tables = _parsers()
-        option = next(s for s, a in tables[args.command][0].items() if getattr(args, a.dest) == [])
-        commands[args.command].error(f"argument {option}: expected one argument")
+        for option, action in tables[args.command][0].items():
+            if getattr(args, action.dest) == []:
+                commands[args.command].error(f"argument {option}: expected one argument")
     try:
         return args.fn(args, GROUPS[args.group])
     except ParseError as exc:
