@@ -493,9 +493,9 @@ def _parsers() -> tuple:
 
 def _parse_command_line(argv: list) -> argparse.Namespace:
     """``_parsers()[0].parse_args(argv)``, apart from the namespace's
-    ``command``, which nothing reads: a command name followed only by exact
-    tokens is read by that command's table with no argparse pass, and every
-    other line by ``parse_args``."""
+    ``command``, which only a ``parse_args`` namespace has: a command name
+    followed only by exact tokens is read by that command's table with no
+    argparse pass, and every other line by ``parse_args``."""
     parser, _, tables = _parsers()
     table = tables.get(argv[0]) if argv else None
     args = None if table is None else _parse_exact(table, argv[1:])
@@ -532,11 +532,10 @@ def main(argv: Optional[list] = None) -> int:
 def _answer(argv: list) -> int:
     args = _parse_command_line(argv)
     if hasattr(args, "command"):
-        # only a parse_args namespace has one, and only parse_args reads an
-        # option given as --opt=--: it drops the "--" and stores [], which
-        # no command reads, so that is refused as argparse refuses an
-        # option given no value.  Reading the values one by one, not
-        # through vars(args), keeps the namespace's attributes off a dict
+        # parse_args reads an option given as --opt=-- as [] (it drops the
+        # "--"), which no command reads, so that is refused as an option
+        # given no value.  getattr, not vars(args): vars() moves the values
+        # into a dict, which slows every later args.x read
         _, commands, tables = _parsers()
         for option, action in tables[args.command][0].items():
             if getattr(args, action.dest) == []:
