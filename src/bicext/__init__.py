@@ -5,132 +5,83 @@ library ships the order abstraction with four exact carriers, the pair
 semigroup and its positive part, anchored partial shifts with a
 composition oracle, the natural partial order with complete one-unknown
 equation solvers, constructive discreteness certificates, and a property
-suite runner that brute-checks every claim on finite windows; the runner
-loads on first use, so a one-shot query, a fresh process, does not compile it.
+suite runner that brute-checks every claim on finite windows.
+
+Each public name is listed once, in ``_MODULE_OF``, with the submodule
+that defines it, and ``__all__`` is that table sorted. ``import bicext``
+loads no submodule: the first read of a name imports its submodule and
+binds the name here, so a fresh process compiles only the submodules
+whose names it reads, and every later read is a plain attribute read.
 """
 
-from .certificates import (
-    DensityVerdict,
-    EscapeCertificate,
-    ExcludedRegion,
-    WitnessChain,
-    build_witness_chain,
-    density_probe,
-    dl_set_member,
-    escape_certificate,
-)
-from .errors import (
-    BicextError,
-    InstanceMismatch,
-    InternalDisagreement,
-    InternalError,
-    MalformedEquation,
-    NotApplicable,
-    OutOfDomain,
-    ParseError,
-    PreconditionViolated,
-)
-from .literals import parse_pair, parse_payload
-from .natorder import (
-    SolutionKind,
-    SolutionSet,
-    ideal_member,
-    nat_leq,
-    nat_leq_dual,
-    nat_leq_oracle,
-    solve_left,
-    solve_right,
-    solve_sandwich,
-    up_set_window,
-)
-from .ogroups import (
-    GROUPS,
-    H3,
-    Q,
-    Z,
-    ZXZ,
-    ConeVerdict,
-    HeisenbergGroup,
-    IntegerGroup,
-    LexPairGroup,
-    OrderedGroup,
-    RationalGroup,
-    check_positive_cone_axioms,
-    successor_check,
-)
-from .pairs import BElement, idempotent, pairs_in_window
-from .shifts import (
-    PartialShift,
-    compose,
-    compose_pointwise_oracle,
-    pair_product_matches_shifts,
-    pair_to_shift,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BElement",
-    "BicextError",
-    "ConeVerdict",
-    "DensityVerdict",
-    "EscapeCertificate",
-    "ExcludedRegion",
-    "GROUPS",
-    "H3",
-    "HeisenbergGroup",
-    "InstanceMismatch",
-    "IntegerGroup",
-    "InternalDisagreement",
-    "InternalError",
-    "LexPairGroup",
-    "MalformedEquation",
-    "NotApplicable",
-    "OrderedGroup",
-    "OutOfDomain",
-    "ParseError",
-    "PartialShift",
-    "PreconditionViolated",
-    "Q",
-    "RationalGroup",
-    "SolutionKind",
-    "SolutionSet",
-    "SuiteConfig",
-    "SuiteReport",
-    "WitnessChain",
-    "Z",
-    "ZXZ",
-    "build_witness_chain",
-    "check_positive_cone_axioms",
-    "compose",
-    "compose_pointwise_oracle",
-    "density_probe",
-    "dl_set_member",
-    "escape_certificate",
-    "ideal_member",
-    "idempotent",
-    "nat_leq",
-    "nat_leq_dual",
-    "nat_leq_oracle",
-    "pair_product_matches_shifts",
-    "pair_to_shift",
-    "pairs_in_window",
-    "parse_pair",
-    "parse_payload",
-    "run_suites",
-    "solve_left",
-    "solve_right",
-    "solve_sandwich",
-    "successor_check",
-    "up_set_window",
-]
+_MODULE_OF = {
+    "BElement": "pairs",
+    "BicextError": "errors",
+    "ConeVerdict": "ogroups",
+    "DensityVerdict": "certificates",
+    "EscapeCertificate": "certificates",
+    "ExcludedRegion": "certificates",
+    "GROUPS": "ogroups",
+    "H3": "ogroups",
+    "HeisenbergGroup": "ogroups",
+    "InstanceMismatch": "errors",
+    "IntegerGroup": "ogroups",
+    "InternalDisagreement": "errors",
+    "InternalError": "errors",
+    "LexPairGroup": "ogroups",
+    "MalformedEquation": "errors",
+    "NotApplicable": "errors",
+    "OrderedGroup": "ogroups",
+    "OutOfDomain": "errors",
+    "ParseError": "errors",
+    "PartialShift": "shifts",
+    "PreconditionViolated": "errors",
+    "Q": "ogroups",
+    "RationalGroup": "ogroups",
+    "SolutionKind": "natorder",
+    "SolutionSet": "natorder",
+    "SuiteConfig": "suites",
+    "SuiteReport": "suites",
+    "WitnessChain": "certificates",
+    "Z": "ogroups",
+    "ZXZ": "ogroups",
+    "build_witness_chain": "certificates",
+    "check_positive_cone_axioms": "ogroups",
+    "compose": "shifts",
+    "compose_pointwise_oracle": "shifts",
+    "density_probe": "certificates",
+    "dl_set_member": "certificates",
+    "escape_certificate": "certificates",
+    "ideal_member": "natorder",
+    "idempotent": "pairs",
+    "nat_leq": "natorder",
+    "nat_leq_dual": "natorder",
+    "nat_leq_oracle": "natorder",
+    "pair_product_matches_shifts": "shifts",
+    "pair_to_shift": "shifts",
+    "pairs_in_window": "pairs",
+    "parse_pair": "literals",
+    "parse_payload": "literals",
+    "run_suites": "suites",
+    "solve_left": "natorder",
+    "solve_right": "natorder",
+    "solve_sandwich": "natorder",
+    "successor_check": "ogroups",
+    "up_set_window": "natorder",
+}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name not in ("SuiteConfig", "SuiteReport", "run_suites"):
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import suites
-    globals()[name] = value = getattr(suites, name)
+    module = _import_module(f".{_MODULE_OF[name]}", __name__)
+    globals()[name] = value = getattr(module, name)
     return value
 
 

@@ -307,6 +307,11 @@ def _cmd_escape(args, group) -> int:
 
 
 def _cmd_check(args, group) -> int:
+    # an empty name is refused, not dropped: a list of empty names would
+    # otherwise reach the runner as no names, which selects every suite
+    suites = () if args.suites in ("all", "") else tuple(s.strip() for s in args.suites.split(","))
+    if "" in suites:
+        _parsers()[1]["check"].error(f"argument --suites: empty suite name in {args.suites!r}")
     elems = _window_elements(group, args.window)
     if not group.enumerable:
         elems **= 2  # bounds Q's grid, as in `escape`
@@ -314,10 +319,6 @@ def _cmd_check(args, group) -> int:
         return _refuse_window("check", args.window, f"build {elems} window elements")
     # loaded here, not at the top, so one-shot queries do not compile the suites
     from .suites import SuiteConfig, run_suites
-    if args.suites in ("all", ""):
-        suites: tuple = ()
-    else:
-        suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     cfg = SuiteConfig(
         group=args.group,
         window=args.window,

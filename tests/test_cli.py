@@ -310,6 +310,17 @@ def test_check_rejects_unknown_suite(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suites", [",", " ", "axioms,,order", "axioms,", ", axioms"])
+def test_a_suites_list_with_an_empty_name_is_a_usage_error(capsys, suites):
+    # an empty name is refused, never dropped: dropping every name of ","
+    # would leave no names, which selects every suite
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--window", "1", "--suites", suites])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"bicext check: error: argument --suites: empty suite name in {suites!r}\n")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "mul", "[oops|2]", "[1|1]")
     assert code == 2 and "literal error" in err
@@ -329,6 +340,19 @@ def test_unrenderable_result_is_a_result_error(capsys):
     payload = json.loads(out)
     assert payload["digit_limit"] == limit and f"{limit} digits" in payload["result_error"]
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_no_error_exceeds_a_switched_off_digit_limit():
+    # with the limit off, no integer is refused, so no ValueError is the refusal
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError) as refused:
+        str(10 ** limit)
+    assert cli._exceeds_digit_limit(refused.value)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert not cli._exceeds_digit_limit(refused.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _ELEMENT = {"left": "(1,-2)", "right": "(0,3)"}
@@ -538,9 +562,25 @@ print((codes, queried, checked, "bicext.suites" in sys.modules))
     assert (proc.returncode, out, err) == (0, f"{([0] * 6, False, 0, True)}\n", "")
 
 
+def test_a_name_loads_only_the_modules_that_define_it():
+    code = ("import sys; loaded = lambda: sorted(m for m in sys.modules if m.startswith('bicext')); "
+            "import bicext; print(loaded()); from bicext import BElement, Z; print(loaded())")
+    proc = _python(["-c", code])
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+    assert out.splitlines() == [
+        "['bicext']",
+        "['bicext', 'bicext.errors', 'bicext.ogroups', 'bicext.pairs', 'bicext.records']",
+    ]
+
+
 def test_public_surface_resolves_every_name_in_all():
     for name in bicext.__all__:
-        getattr(bicext, name)
+        # the very object its defining module binds, not a copy or a re-export
+        value = getattr(bicext, name)
+        home = sys.modules[f"bicext.{bicext._MODULE_OF[name]}"]
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
     star: dict = {}
     exec("from bicext import *", star)
     assert set(bicext.__all__) <= star.keys()
@@ -755,6 +795,8 @@ def test_an_option_a_command_does_not_read_is_a_usage_error(capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], flag, "1", *argv[1:]])
         assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 _GOOD_VALUE = {
     "--group": st.sampled_from(sorted(GROUPS)),
     "--output": st.sampled_from(["text", "json"]),

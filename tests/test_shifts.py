@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from bicext import shifts
 from bicext.errors import InstanceMismatch, OutOfDomain
 from bicext.ogroups import GROUPS, H3, Z, ZXZ
 from bicext.pairs import BElement, pairs_in_window
@@ -74,6 +75,20 @@ def test_pointwise_oracle_identity_shift(any_group):
     pts = [g.power(g.designated_positive, k) for k in range(0, 5)]
     assert compose_pointwise_oracle(e, m, pts)
     assert compose_pointwise_oracle(m, e, pts)
+
+
+def test_pointwise_oracle_catches_a_composite_with_wrong_values(monkeypatch):
+    # the composite keeps its domain, so only the value comparison can see
+    # that it sends each point one step past where m2 sends m1's image
+    m1, m2 = PartialShift(Z, 0, 2), PartialShift(Z, 1, -1)
+    assert compose_pointwise_oracle(m1, m2, range(-3, 4))
+
+    def one_step_past(a, b):
+        c = compose(a, b)
+        return PartialShift(Z, c.dom_anchor, c.cod_anchor + 1)
+
+    monkeypatch.setattr(shifts, "compose", one_step_past)
+    assert not compose_pointwise_oracle(m1, m2, range(-3, 4))
 
 
 def test_pointwise_oracle_heisenberg_random_anchors():

@@ -9,7 +9,7 @@ import pytest
 from bicext import certificates, suites
 from bicext.certificates import DensityVerdict, WitnessChain
 from bicext.natorder import SolutionKind, SolutionSet
-from bicext.ogroups import GROUPS, IntegerGroup
+from bicext.ogroups import GROUPS, IntegerGroup, RationalGroup
 from bicext.pairs import BElement, idempotent
 from bicext.shifts import PartialShift
 from bicext.suites import SUITES, SuiteConfig, run_suites
@@ -589,3 +589,65 @@ def test_shift_bijectivity_fault_branches(monkeypatch):
 def test_density_probe_fault_branches(monkeypatch, carrier, verdict, outcome):
     monkeypatch.setattr(suites, "density_probe", lambda group, samples: verdict)
     assert _check("density-probe")(suites._Ctx(carrier, 2, 0)) == ("fail", *outcome)
+
+
+class _CyclicOrderIntegerGroup(IntegerGroup):
+    """Integer carrier whose order runs round a circle of five: g is at or
+    below h when h is at most two steps ahead of g, counted mod 5."""
+
+    def leq(self, g, h):
+        return (h - g) % 5 < 3
+
+
+def test_order_transitivity_catches_a_cyclic_order():
+    assert _check("order-transitivity")(suites._Ctx(_CyclicOrderIntegerGroup(), 2, 0)) == (
+        "fail", 9, "transitivity broke at -2, -1, 1"
+    )
+
+
+class _NoMidpointRationalGroup(RationalGroup):
+    def between(self, g, h):
+        return g
+
+
+def test_density_witness_catches_a_midpoint_on_the_bound():
+    assert _check("density-witness")(suites._Ctx(_NoMidpointRationalGroup(), 1, 0)) == (
+        "fail", 1, "no midpoint between -1 and 0"
+    )
+
+
+def test_bicyclic_presentation_catches_q_p_not_collapsing(monkeypatch):
+    # p*q still gives the unit, so only the second relation can fail
+    p, q, real = BElement(Z, 0, 1), BElement(Z, 1, 0), BElement.__mul__
+    monkeypatch.setattr(
+        BElement, "__mul__", lambda s, t: BElement(Z, 0, 0) if (s, t) == (q, p) else real(s, t)
+    )
+    assert _check("bicyclic-presentation")(suites._Ctx(Z, 2, 0)) == (
+        "fail", 2, "q*p did not collapse to the (1,1) idempotent"
+    )
+
+
+def test_natleq_vs_oracle_catches_a_wrong_order_test(monkeypatch):
+    real = suites.nat_leq
+    monkeypatch.setattr(suites, "nat_leq", lambda s, t: not real(s, t))
+    assert _check("natleq-vs-oracle")(suites._Ctx(Z, 2, 0)) == (
+        "fail", 1, "order test and oracle disagree on [-2|-2], [-2|-2]"
+    )
+
+
+def test_natorder_partial_order_catches_a_relation_that_is_not_transitive(monkeypatch):
+    # keeping only the comparisons one step apart keeps the relation
+    # reflexive and antisymmetric, so only the transitivity clause fails
+    real = suites.nat_leq
+    monkeypatch.setattr(suites, "nat_leq", lambda s, t: real(s, t) and abs(s.left - t.left) <= 1)
+    assert _check("natorder-partial-order")(suites._Ctx(Z, 2, 0)) == (
+        "fail", 1980, "transitivity broke at [0|0], [-1|-1], [-2|-2]"
+    )
+
+
+def test_triple_factorization_catches_a_reversed_product(monkeypatch):
+    real = BElement.__mul__
+    monkeypatch.setattr(BElement, "__mul__", lambda s, t: real(t, s))
+    assert _check("triple-factorization")(suites._Ctx(Z, 2, 0)) == (
+        "fail", 2, "factorization broke at -2,-2,-2,-1"
+    )
