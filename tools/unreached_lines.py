@@ -101,6 +101,8 @@ def trace_until_exit(out: str) -> None:
 
 
 def main() -> int:
+    # read before the run, so that the line numbers are those of the code the tests import
+    sources = {str(path): path.read_text() for path in PACKAGE.glob("*.py")}
     with tempfile.TemporaryDirectory() as out:
         with open(os.path.join(out, "sitecustomize.py"), "w") as f:
             f.write(_SITECUSTOMIZE.format(tool=str(Path(__file__).resolve()), out=out))
@@ -120,9 +122,9 @@ def main() -> int:
                 children[name].update(lines)
 
     unreached, child_only = [], []
-    for name in sorted(recorder.lines):
-        text = Path(name).read_text().splitlines()
-        for line in sorted(executable_lines("\n".join(text), name) - recorder.lines[name]):
+    for name, source in sorted(sources.items()):
+        text = source.splitlines()
+        for line in sorted(executable_lines(source, name) - recorder.lines[name]):
             row = f"{Path(name).relative_to(ROOT)}:{line}: {text[line - 1].strip()}"
             (child_only if line in children[name] else unreached).append(row)
     print(f"\n{len(unreached)} executable lines that no test executed:")
