@@ -12,6 +12,8 @@ that defines it, and ``__all__`` is that table sorted. ``import bicext``
 loads no submodule: the first read of a name imports its submodule and
 binds the name here, so a fresh process compiles only the submodules
 whose names it reads, and every later read is a plain attribute read.
+``bicext.cli`` reads every library name through this table too, so a
+command loads only the submodules it runs.
 """
 
 from importlib import import_module as _import_module
@@ -56,12 +58,14 @@ _MODULE_OF = {
     "density_probe": "certificates",
     "dl_set_member": "certificates",
     "escape_certificate": "certificates",
+    "escape_region": "certificates",
     "ideal_member": "natorder",
     "idempotent": "pairs",
     "nat_leq": "natorder",
     "nat_leq_dual": "natorder",
     "nat_leq_oracle": "natorder",
     "pair_product_matches_shifts": "shifts",
+    "pair_to_json": "pairs",
     "pair_to_shift": "shifts",
     "pairs_in_window": "pairs",
     "parse_pair": "literals",

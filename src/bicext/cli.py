@@ -16,6 +16,12 @@ read by that command's table, with no argparse pass; every other line
 goes to ``parse_args``.  Parsers and tables are built once, on the first
 ``main`` call; see ``_parsers``.  Each answer is built only in the form
 ``--output`` asks for.
+
+Every library name is read as ``bicext.<name>``, through the package's
+name table, so a command compiles only the modules whose names it
+reads: ``import bicext.cli`` loads no other ``bicext`` module, ``mul``
+loads the pair and literal modules, and only ``check`` loads the suite
+runner.
 """
 
 from __future__ import annotations
@@ -27,21 +33,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
-from .certificates import build_witness_chain, density_probe, escape_certificate, escape_region
-from .errors import BicextError, NotApplicable, ParseError
-from .literals import pair_to_json, parse_pair, parse_payload
-from .natorder import (
-    ideal_member,
-    nat_leq,
-    nat_leq_oracle,
-    solve_left,
-    solve_right,
-    solve_sandwich,
-    up_set_window,
-)
-from .ogroups import GROUPS
-from .pairs import BElement
-from .shifts import PartialShift, compose_pointwise_oracle
+import bicext
 
 # most a window command may handle: the window elements `upset` walks or
 # `check` builds (H3 at window 10 has 9,261), the window pairs `escape`
@@ -108,25 +100,25 @@ def _window_elements(group, window: int) -> int:
 
 
 def _cmd_mul(args, group) -> int:
-    s = parse_pair(args.elements[0], group)
-    t = parse_pair(args.elements[1], group)
+    s = bicext.parse_pair(args.elements[0], group)
+    t = bicext.parse_pair(args.elements[1], group)
     result = s * t
-    _emit(args.output, lambda: {"element": pair_to_json(result)}, result.__str__)
+    _emit(args.output, lambda: {"element": bicext.pair_to_json(result)}, result.__str__)
     return 0
 
 
 def _cmd_inv(args, group) -> int:
-    s = parse_pair(args.element, group)
+    s = bicext.parse_pair(args.element, group)
     result = s.inverse()
-    _emit(args.output, lambda: {"element": pair_to_json(result)}, result.__str__)
+    _emit(args.output, lambda: {"element": bicext.pair_to_json(result)}, result.__str__)
     return 0
 
 
 def _cmd_leq(args, group) -> int:
-    s = parse_pair(args.s, group)
-    t = parse_pair(args.t, group)
-    verdict = nat_leq(s, t)
-    oracle = nat_leq_oracle(s, t)
+    s = bicext.parse_pair(args.s, group)
+    t = bicext.parse_pair(args.t, group)
+    verdict = bicext.nat_leq(s, t)
+    oracle = bicext.nat_leq_oracle(s, t)
     _emit(
         args.output,
         lambda: {"leq": verdict, "oracle": oracle},
@@ -136,20 +128,20 @@ def _cmd_leq(args, group) -> int:
 
 
 def _cmd_solve(args, group) -> int:
-    target = parse_pair(args.target, group)
+    target = bicext.parse_pair(args.target, group)
     if args.side == "sandwich":
         if not (args.leftk and args.rightk):
             print("solve --side sandwich needs --leftk and --rightk", file=sys.stderr)
             return 2
-        leftk = parse_pair(args.leftk, group)
-        rightk = parse_pair(args.rightk, group)
-        sol = solve_sandwich(target, leftk, rightk, bplus=args.bplus)
+        leftk = bicext.parse_pair(args.leftk, group)
+        rightk = bicext.parse_pair(args.rightk, group)
+        sol = bicext.solve_sandwich(target, leftk, rightk, bplus=args.bplus)
     else:
         if not args.known:
             print("solve needs --known", file=sys.stderr)
             return 2
-        known = parse_pair(args.known, group)
-        solver = solve_right if args.side == "right" else solve_left
+        known = bicext.parse_pair(args.known, group)
+        solver = bicext.solve_right if args.side == "right" else bicext.solve_left
         sol = solver(target, known, bplus=args.bplus)
     _emit(
         args.output,
@@ -160,9 +152,9 @@ def _cmd_solve(args, group) -> int:
 
 
 def _cmd_ideal(args, group) -> int:
-    s = parse_pair(args.element, group)
-    anchor = parse_payload(args.anchor, group)
-    member = ideal_member(s, anchor, args.side, bplus=args.bplus)
+    s = bicext.parse_pair(args.element, group)
+    anchor = bicext.parse_payload(args.anchor, group)
+    member = bicext.ideal_member(s, anchor, args.side, bplus=args.bplus)
     _emit(
         args.output,
         lambda: {"member": member},
@@ -172,18 +164,18 @@ def _cmd_ideal(args, group) -> int:
 
 
 def _cmd_upset(args, group) -> int:
-    base = parse_pair(args.base, group)
+    base = bicext.parse_pair(args.base, group)
     elems = _window_elements(group, args.window)
     # on Q the library answers not-applicable without building a window
     if group.enumerable and elems > WINDOW_BUDGET:
         return _refuse_window("upset", args.window, f"walk {elems} window elements")
-    members = up_set_window(base, args.window, bplus=args.bplus)
+    members = bicext.up_set_window(base, args.window, bplus=args.bplus)
     _emit(
         args.output,
         lambda: {
-            "base": pair_to_json(base),
+            "base": bicext.pair_to_json(base),
             "window": [-args.window, args.window],
-            "members": [pair_to_json(m) for m in members],
+            "members": [bicext.pair_to_json(m) for m in members],
         },
         lambda: "\n".join(str(m) for m in members) or "(empty)",
     )
@@ -195,12 +187,12 @@ def _cmd_pmap(args, group) -> int:
         if not (args.g and args.h and args.x):
             print("pmap apply needs --g, --h and --x", file=sys.stderr)
             return 2
-        shift = PartialShift(
+        shift = bicext.PartialShift(
             group,
-            parse_payload(args.g, group),
-            parse_payload(args.h, group),
+            bicext.parse_payload(args.g, group),
+            bicext.parse_payload(args.h, group),
         )
-        value = shift.apply(parse_payload(args.x, group))
+        value = shift.apply(bicext.parse_payload(args.x, group))
         _emit(args.output, lambda: {"value": group.render(value)}, lambda: group.render(value))
         return 0
     # check-compose: every anchor-pair combination over the window,
@@ -215,12 +207,12 @@ def _cmd_pmap(args, group) -> int:
         work = f"sweep at least {n**4} shift pairs"
         return _refuse_window("pmap check-compose", args.window, work)
     points = elems if group.enumerable else group.window(2 * args.window)
-    shifts = [PartialShift(group, a, b) for a in elems for b in elems]
+    shifts = [bicext.PartialShift(group, a, b) for a in elems for b in elems]
     checked = 0
     for m1 in shifts:
         for m2 in shifts:
             checked += 1
-            if not compose_pointwise_oracle(m1, m2, points):
+            if not bicext.compose_pointwise_oracle(m1, m2, points):
                 _emit(
                     args.output,
                     lambda: {"ok": False, "pairs": checked, "points": len(points)},
@@ -236,17 +228,17 @@ def _cmd_pmap(args, group) -> int:
 
 
 def _cmd_witness(args, group) -> int:
-    seed = parse_pair(args.seed, group)
-    target = parse_pair(args.target, group)
-    chain = build_witness_chain(seed, target)
+    seed = bicext.parse_pair(args.seed, group)
+    target = bicext.parse_pair(args.target, group)
+    chain = bicext.build_witness_chain(seed, target)
     _emit(
         args.output,
         lambda: {
-            "seed": pair_to_json(chain.seed),
-            "target": pair_to_json(chain.target),
-            "right_translator": pair_to_json(chain.right_translator),
-            "intermediate": pair_to_json(chain.intermediate),
-            "left_translator": pair_to_json(chain.left_translator),
+            "seed": bicext.pair_to_json(chain.seed),
+            "target": bicext.pair_to_json(chain.target),
+            "right_translator": bicext.pair_to_json(chain.right_translator),
+            "intermediate": bicext.pair_to_json(chain.intermediate),
+            "left_translator": bicext.pair_to_json(chain.left_translator),
         },
         lambda: (
             f"seed {chain.seed} -> target {chain.target}\n"
@@ -260,13 +252,13 @@ def _cmd_witness(args, group) -> int:
 
 
 def _cmd_escape(args, group) -> int:
-    anchor = parse_payload(args.a, group)
-    idem = BElement(group, anchor, anchor)
+    anchor = bicext.parse_payload(args.a, group)
+    idem = bicext.BElement(group, anchor, anchor)
     pairs = _window_elements(group, args.window) ** 2
     if pairs > WINDOW_BUDGET:
         return _refuse_window("escape", args.window, f"cover {pairs} window pairs")
     if group.densely_ordered:
-        verdict = density_probe(group, group.window(args.window))
+        verdict = bicext.density_probe(group, group.window(args.window))
         _emit(
             args.output,
             lambda: {
@@ -279,8 +271,8 @@ def _cmd_escape(args, group) -> int:
         )
         return 0
     certs = [
-        escape_certificate(idem, BElement(group, x, y))
-        for x, y in escape_region(group, anchor, args.window)
+        bicext.escape_certificate(idem, bicext.BElement(group, x, y))
+        for x, y in bicext.escape_region(group, anchor, args.window)
     ]
     _emit(
         args.output,
@@ -290,9 +282,9 @@ def _cmd_escape(args, group) -> int:
             "points": len(certs),
             "certificates": [
                 {
-                    "point": pair_to_json(c.point),
+                    "point": bicext.pair_to_json(c.point),
                     "side": c.side,
-                    "product": pair_to_json(c.product),
+                    "product": bicext.pair_to_json(c.product),
                     "excluded_region": c.excluded_region.value,
                 }
                 for c in certs
@@ -317,15 +309,13 @@ def _cmd_check(args, group) -> int:
         elems **= 2  # bounds Q's grid, as in `escape`
     if elems > WINDOW_BUDGET:
         return _refuse_window("check", args.window, f"build {elems} window elements")
-    # loaded here, not at the top, so one-shot queries do not compile the suites
-    from .suites import SuiteConfig, run_suites
-    cfg = SuiteConfig(
+    cfg = bicext.SuiteConfig(
         group=args.group,
         window=args.window,
         sample_seed=args.sample_seed,
         suites=suites,
     )
-    report = run_suites(cfg)
+    report = bicext.run_suites(cfg)
     _emit(args.output, report.to_json, report.to_text)
     return 0 if report.ok else 1
 
@@ -334,14 +324,11 @@ def _exact_table(command: argparse.ArgumentParser, actions: list) -> tuple:
     """What ``_parse_exact`` needs of ``command``, read from public attributes
     of the actions ``add_argument`` returned: each option string's action,
     the positional (at most one, of a fixed count), the required options,
-    and the namespace of a line that gives no option, with string defaults
-    converted as argparse converts them."""
+    and the namespace of a line that gives no option (each default is
+    already of its option's type)."""
     options = {s: a for a in actions for s in a.option_strings}
     positional = next((a for a in actions if not a.option_strings), None)
-    defaults = {
-        a.dest: a.type(a.default) if isinstance(a.default, str) and a.type else a.default
-        for a in actions
-    }
+    defaults = {a.dest: a.default for a in actions}
     defaults["fn"] = command.get_default("fn")  # the one set_defaults key
     return options, positional, [a for a in options.values() if a.required], defaults
 
@@ -414,7 +401,7 @@ def _parsers() -> tuple:
     # only to the commands that read it
     common = argparse.ArgumentParser(add_help=False)
     shared = [
-        common.add_argument("--group", default="Z", choices=sorted(GROUPS)),
+        common.add_argument("--group", default="Z", choices=sorted(bicext.GROUPS)),
         common.add_argument("--output", default="text", choices=["text", "json"]),
     ]
 
@@ -542,18 +529,18 @@ def _answer(argv: list) -> int:
             if getattr(args, action.dest) == []:
                 commands[args.command].error(f"argument {option}: expected one argument")
     try:
-        return args.fn(args, GROUPS[args.group])
-    except ParseError as exc:
+        return args.fn(args, bicext.GROUPS[args.group])
+    except bicext.ParseError as exc:
         print(f"literal error: {exc}", file=sys.stderr)
         return 2
-    except NotApplicable as exc:
+    except bicext.NotApplicable as exc:
         _emit(
             args.output,
             lambda: {"not_applicable": True, "reason": str(exc)},
             lambda: f"not applicable: {exc}",
         )
         return 0
-    except BicextError as exc:
+    except bicext.BicextError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -165,8 +165,3 @@ def parse_pair(text: str, group: OrderedGroup, offset: int = 0) -> BElement:
     """
     pair = _match_pair(text, group)
     return pair if pair is not None else _step_pair(text, group, offset)
-
-
-def pair_to_json(s: BElement) -> dict:
-    g = s.group
-    return {"left": g.render(s.left), "right": g.render(s.right)}

@@ -31,9 +31,8 @@ from .errors import (
     NotApplicable,
     PreconditionViolated,
 )
-from .literals import pair_to_json
 from .ogroups import Bounds, Element
-from .pairs import BElement, _make
+from .pairs import BElement, _make, pair_to_json
 from .records import Record, _store
 
 Side = Literal["left", "right"]

@@ -110,6 +110,11 @@ class BElement(_PairSlots, Record):
         return f"BElement({self.group.name}, {self.left!r}, {self.right!r})"
 
 
+def pair_to_json(s: BElement) -> dict:
+    g = s.group
+    return {"left": g.render(s.left), "right": g.render(s.right)}
+
+
 def _make(group: OrderedGroup, left: Element, right: Element) -> BElement:
     """Unchecked constructor for payloads the carrier produced itself."""
     s = _PairSlots()

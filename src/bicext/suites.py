@@ -85,6 +85,8 @@ class SuiteConfig(Record):
         _store(self, "window", window)
         _store(self, "sample_seed", sample_seed)
         _store(self, "suites", suites)
+        if type(window) is not int:  # a bool is refused too
+            raise ValueError(f"window must be an int, not {type(window).__name__}")
         if window < 1:
             raise ValueError("window must be >= 1")
         unknown = [s for s in suites if s not in SUITES]

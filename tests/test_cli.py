@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -167,7 +168,7 @@ def test_pmap_check_compose(capsys):
 
 def test_pmap_check_compose_reports_a_failing_pair(monkeypatch, capsys):
     # an oracle that refuses every composite stops the sweep at its first pair
-    monkeypatch.setattr(cli, "compose_pointwise_oracle", lambda *args: False)
+    monkeypatch.setattr(bicext, "compose_pointwise_oracle", lambda *args: False)
     code, out, _ = run(capsys, "pmap", "check-compose", "--window", "1", "--output", "json")
     assert code == 1 and json.loads(out) == {"ok": False, "pairs": 1, "points": 3}
     code, out, _ = run(capsys, "pmap", "check-compose", "--window", "1")
@@ -547,30 +548,50 @@ _ONE_SHOT_LINES = [
 
 
 def test_one_shot_queries_run_without_loading_the_suites():
-    # the suite runner is compiled only by the process that runs a check
+    # a command compiles only the modules whose names it reads: the bicext
+    # modules that each line adds, the lines run in order in one process,
+    # and only the check loads the suite runner
+    lines = [*_ONE_SHOT_LINES, ["check", "--window", "1", "--suites", "axioms"]]
     code = f"""
 import contextlib, io, sys
-from bicext import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in {_ONE_SHOT_LINES!r}]
-    queried = "bicext.suites" in sys.modules
-    checked = cli.main(["check", "--window", "1", "--suites", "axioms"])
-print((codes, queried, checked, "bicext.suites" in sys.modules))
+loaded = lambda: {{m[7:] for m in sys.modules if m.startswith("bicext.")}}
+import bicext.cli
+steps = [("import", 0, sorted(loaded()))]
+for argv in {lines!r}:
+    before = loaded()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = bicext.cli.main(argv)
+    steps.append((argv[0], code, sorted(loaded() - before)))
+print(steps)
 """
     proc = _python(["-c", code])
     out, err = proc.communicate(timeout=60)
-    assert (proc.returncode, out, err) == (0, f"{([0] * 6, False, 0, True)}\n", "")
+    assert (proc.returncode, err) == (0, "")
+    assert ast.literal_eval(out) == [
+        ("import", 0, ["cli"]),
+        ("mul", 0, ["errors", "literals", "ogroups", "pairs", "records"]),
+        ("leq", 0, ["natorder"]),
+        ("solve", 0, []),
+        ("upset", 0, []),
+        ("escape", 0, ["certificates"]),
+        ("pmap", 0, ["shifts"]),
+        ("check", 0, ["suites"]),
+    ]
 
 
 def test_a_name_loads_only_the_modules_that_define_it():
     code = ("import sys; loaded = lambda: sorted(m for m in sys.modules if m.startswith('bicext')); "
-            "import bicext; print(loaded()); from bicext import BElement, Z; print(loaded())")
+            "import bicext; print(loaded()); from bicext import BElement, Z; print(loaded()); "
+            "from bicext import nat_leq; print(loaded())")
     proc = _python(["-c", code])
     out, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, "")
     assert out.splitlines() == [
         "['bicext']",
         "['bicext', 'bicext.errors', 'bicext.ogroups', 'bicext.pairs', 'bicext.records']",
+        # the order and its solvers render through pairs, not the literal parser
+        "['bicext', 'bicext.errors', 'bicext.natorder', 'bicext.ogroups', 'bicext.pairs', "
+        "'bicext.records']",
     ]
 
 

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicext.errors import ParseError
-from bicext.literals import _match_pair, _step_pair, pair_to_json, parse_pair, parse_payload
+from bicext.literals import _match_pair, _step_pair, parse_pair, parse_payload
 from bicext.ogroups import H3, Q, Z, ZXZ
-from bicext.pairs import BElement
+from bicext.pairs import BElement, pair_to_json
 
 
 def test_parse_examples():

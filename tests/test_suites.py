@@ -228,6 +228,13 @@ def test_config_validation():
         SuiteConfig(group="Zillion")
 
 
+@pytest.mark.parametrize("window", [2.5, "3", True], ids=["float", "str", "bool"])
+def test_config_refuses_a_window_that_is_not_an_int(window):
+    # refused at construction, so run_suites never meets it
+    with pytest.raises(ValueError, match="window must be an int"):
+        SuiteConfig(group="Z", window=window, suites=("axioms",))
+
+
 def test_suite_subset_keeps_registry_order():
     cfg = SuiteConfig(group="Z", suites=("order", "axioms"))
     assert cfg.suite_names() == ("axioms", "order")
