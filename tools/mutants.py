@@ -2,25 +2,27 @@
 
 Run from the repository root:
 
-    python3 tools/mutants.py [--rev <rev>] [--only <id> ...] [--workdir <dir>]
+    python3 tools/mutants.py [--workdir <dir>]
 
 ``MUTANTS`` is the table: for each mutant, the module under
 ``src/bicext``, the exact text it replaces (which must occur exactly
-once), the text put in its place, and the claim the slip breaks.  The
-revision (``HEAD`` by default) is extracted once with
-``bench_pairs._extract``; each mutant is then written into that
-checkout on its own, tier-1 runs there with ``-x``, and the module is
-put back before the next mutant.  The run leaves out
-``tests/test_mutants.py``, which fails on every mutant: it checks that
-each table text is still in the source.
+once), the text put in its place, and the claim the slip breaks.
+``HEAD`` is extracted once with ``bench_pairs._extract``, and tier-1
+runs there unmutated first: if it fails, the script exits 1 before any
+mutant, since a failing suite would score every mutant killed.  Each
+mutant is then written into that checkout on its own, tier-1 runs there
+with ``-x``, and the module is put back before the next mutant.  The
+run leaves out ``tests/test_mutants.py``, which fails on every mutant:
+it checks that each table text is still in the source.
 
-A mutant is killed when tier-1 fails; the script names the first
-failing test.  It prints one line per mutant and the score, and exits 1
-when a mutant survives that ``EQUIVALENT`` does not list with a reason,
-or when a table entry's text does not occur exactly once.  A run takes
-up to about 25 s per mutant, so the full run is not part of tier-1;
-``tests/test_mutants.py`` checks only that the table still applies.
-Standard library only.
+A mutant is killed when tier-1 fails, or when it runs past
+``TIER1_TIMEOUT_S`` (a mutant that makes a test hang); the script names
+the first failing test.  It prints one line per mutant and the score,
+and exits 1 when a mutant survives that ``EQUIVALENT`` does not list
+with a reason, or when a table entry's text does not occur exactly
+once.  A run takes up to about 25 s per mutant, so the full run is not
+part of tier-1; ``tests/test_mutants.py`` checks only that the table
+still applies.  Standard library only.
 """
 
 from __future__ import annotations
@@ -100,6 +102,9 @@ EQUIVALENT: dict = {}
 # a test id may hold spaces; the summary appends " - <message>" when there is one
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 
+# a mutant that makes a test hang counts as killed once tier-1 runs this long
+TIER1_TIMEOUT_S = 1800
+
 
 def module_path(root: Path, module: str) -> Path:
     return root / "src" / "bicext" / f"{module}.py"
@@ -123,24 +128,27 @@ def killing_test(output: str):
 def _tier1(checkout: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors", "--ignore", "tests/test_mutants.py"]
-    return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=1800)
+           "--ignore", "tests/test_mutants.py"]
+    return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          timeout=TIER1_TIMEOUT_S)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rev", default="HEAD", help="revision to mutate")
-    parser.add_argument("--only", nargs="+", choices=sorted(MUTANTS), help="mutants to run")
     parser.add_argument("--workdir", help="where the temporary checkout goes")
     args = parser.parse_args(argv)
 
-    commit = _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
-    ids = args.only or list(MUTANTS)
+    commit = _git("rev-parse", "--verify", "HEAD^{commit}")
     killed, survivors = 0, []
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         checkout = _extract(commit, Path(tmp) / "checkout")
-        for mutant in ids:
-            module, old, new, claim = MUTANTS[mutant]
+        # a failure here would score every mutant killed
+        clean = _tier1(checkout)
+        if clean.returncode:
+            print(f"mutants: tier-1 fails on the unmutated checkout at {commit[:12]}: "
+                  f"{killing_test(clean.stdout) or f'exit {clean.returncode}'}", file=sys.stderr)
+            return 1
+        for mutant, (module, old, new, claim) in MUTANTS.items():
             path = module_path(checkout, module)
             source = path.read_text()
             try:
@@ -150,9 +158,14 @@ def main(argv=None) -> int:
                 return 1
             try:
                 done = _tier1(checkout)
+            except subprocess.TimeoutExpired:
+                done = None
             finally:
                 path.write_text(source)
-            if done.returncode:
+            if done is None:
+                killed += 1
+                verdict = f"killed by timeout after {TIER1_TIMEOUT_S} s"
+            elif done.returncode:
                 killed += 1
                 verdict = f"killed by {killing_test(done.stdout) or f'exit {done.returncode}'}"
             elif mutant in EQUIVALENT:
@@ -161,10 +174,9 @@ def main(argv=None) -> int:
                 verdict = f"SURVIVED; breaks: {claim}"
                 survivors.append(mutant)
             print(f"{mutant} ({module}): {verdict}", flush=True)
-    print(f"mutants: {killed} of {len(ids)} killed at {commit[:12]}, "
+    print(f"mutants: {killed} of {len(MUTANTS)} killed at {commit[:12]}, "
           f"{len(survivors)} unlisted survivors")
     return 1 if survivors else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
