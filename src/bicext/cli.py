@@ -15,7 +15,9 @@ A command name followed only by exact tokens (see ``_parse_exact``) is
 read by that command's table, with no argparse pass; every other line
 goes to ``parse_args``.  Parsers and tables are built once, on the first
 ``main`` call; see ``_parsers``.  Each answer is built only in the form
-``--output`` asks for.
+``--output`` asks for, and written in one write.  Pair literals go to
+``parse_pair``, which builds a well-formed literal's pair unchecked: its
+pattern admits only carrier members (see ``literals``).
 
 Every library name is read as ``bicext.<name>``, through the package's
 name table, so a command compiles only the modules whose names it
@@ -76,19 +78,16 @@ def _json_text(value, newline: str = "\n") -> str:
 
 
 def _emit(output: str, payload, text):
-    """Print the answer in the ``output`` form: ``payload`` and ``text`` are
-    callables building the JSON object and the text, and only the one
-    printed is called."""
-    print(_json_text(payload()) if output == "json" else text())
+    """Write the answer in the ``output`` form and its newline in one write
+    (``print`` makes two): ``payload`` and ``text`` are callables building
+    the JSON object and the text, and only the one written is called."""
+    sys.stdout.write((_json_text(payload()) if output == "json" else text()) + "\n")
 
 
 def _refuse_window(command: str, window: int, work: str) -> int:
     """Report a window whose ``work`` is over WINDOW_BUDGET; the exit code is 2."""
-    print(
-        f"{command} at window {window} would {work}, over the budget of {WINDOW_BUDGET}; "
-        "use a smaller --window",
-        file=sys.stderr,
-    )
+    print(f"{command} at window {window} would {work}, over the budget of {WINDOW_BUDGET}; "
+          "use a smaller --window", file=sys.stderr)
     return 2
 
 
@@ -323,14 +322,14 @@ def _cmd_check(args, group) -> int:
 def _exact_table(command: argparse.ArgumentParser, actions: list) -> tuple:
     """What ``_parse_exact`` needs of ``command``, read from public attributes
     of the actions ``add_argument`` returned: each option string's action,
-    the positional (at most one, of a fixed count), the required options,
-    and the namespace of a line that gives no option (each default is
-    already of its option's type)."""
+    the positional (at most one, of a fixed count), the set of required
+    options, and the namespace of a line that gives no option (each
+    default is already of its option's type)."""
     options = {s: a for a in actions for s in a.option_strings}
     positional = next((a for a in actions if not a.option_strings), None)
     defaults = {a.dest: a.default for a in actions}
     defaults["fn"] = command.get_default("fn")  # the one set_defaults key
-    return options, positional, [a for a in options.values() if a.required], defaults
+    return options, positional, frozenset(a for a in options.values() if a.required), defaults
 
 
 def _exact_value(action: argparse.Action, text: str):
@@ -356,10 +355,10 @@ def _parse_exact(table: tuple, strings: list) -> Optional[argparse.Namespace]:
     argparse reads such a line the same way, the last repeat winning.
     """
     options, positional, required, values = table
-    values = dict(values)
+    get, values = options.get, dict(values)
     seen, run, i = set(), [], 0
     while i < len(strings):
-        action = options.get(strings[i])
+        action = get(strings[i])
         if action is None:  # a positional; _exact_value refuses one starting with "-"
             run.append(i)
         elif action.nargs == 0:
@@ -374,16 +373,16 @@ def _parse_exact(table: tuple, strings: list) -> Optional[argparse.Namespace]:
             seen.add(action)
         i += 1
     count = 0 if positional is None else positional.nargs or 1
-    if len(run) != count or run and run[-1] - run[0] != count - 1:
+    if len(run) != count or run and run[-1] - run[0] != count - 1 or not required <= seen:
         return None
     if positional is not None:
         given = [_exact_value(positional, strings[j]) for j in run]
         if None in given:
             return None
         values[positional.dest] = given if positional.nargs else given[0]
-    if any(a not in seen for a in required):
-        return None
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()  # Namespace(**values) would setattr each value
+    args.__dict__.update(values)
+    return args
 
 
 @functools.cache

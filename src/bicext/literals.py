@@ -14,6 +14,14 @@ the literal piece by piece and so locates the error.  The pattern matches
 exactly the literals the step parser accepts, plus those with a zero
 denominator or an overlong integer, which the step parser then refuses;
 both read an accepted literal to the same value.
+
+A match holds only carrier members (ints, nonzero unsigned denominators,
+tuples of the carrier's arity), so ``_match_pair`` builds its pair with
+the unchecked ``pairs._make``, and reduces each ``Q`` part with one gcd
+into ``ogroups._fraction``, as ``RationalGroup.mul`` builds its results,
+instead of paying for ``Fraction()``'s dispatch.  The step parser,
+which reads every literal the pattern declines, keeps the checked
+``BElement`` constructor.
 """
 
 from __future__ import annotations
@@ -22,11 +30,12 @@ import functools
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Tuple
 
 from .errors import ParseError
-from .ogroups import Element, OrderedGroup
-from .pairs import BElement
+from .ogroups import Element, OrderedGroup, _fraction
+from .pairs import BElement, _make
 
 _INT = re.compile(r"[+-]?\d+")
 _FRACTION = re.compile(r"([+-]?\d+)(?:/(\d+))?")
@@ -119,7 +128,7 @@ def _pair_pattern(kind: str, arity: int) -> re.Pattern:
 def _match_pair(text: str, group: OrderedGroup):
     """The pair ``text`` denotes when its carrier's pattern matches it whole;
     None when it does not match, a denominator is zero or an integer is
-    past the digit limit."""
+    past the digit limit.  Built unchecked: see the module docstring."""
     kind, arity = group.payload_kind, group.payload_arity
     m = _pair_pattern(kind, arity).fullmatch(text)
     if m is None:
@@ -131,12 +140,14 @@ def _match_pair(text: str, group: OrderedGroup):
     if kind == "integer":
         left, right = values
     elif kind == "fraction":
-        if not (values[1] and values[3]):
+        n, d, p, q = values
+        if not (d and q):
             return None
-        left, right = Fraction(values[0], values[1]), Fraction(values[2], values[3])
+        k, j = gcd(n, d), gcd(p, q)
+        left, right = _fraction(n // k, d // k), _fraction(p // j, q // j)
     else:
         left, right = tuple(values[:arity]), tuple(values[arity:])
-    return BElement(group, left, right)
+    return _make(group, left, right)
 
 
 def _step_pair(text: str, group: OrderedGroup, offset: int) -> BElement:

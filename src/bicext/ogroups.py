@@ -60,6 +60,8 @@ class OrderedGroup:
     densely_ordered = False
     enumerable = True
     abelian = True
+    # parse_pair builds a pair from a literal its pattern matches without
+    # contains, so contains must accept every value the kind's grammar reads
     payload_kind = "integer"  # integer | fraction | int-tuple
     payload_arity = 1
 
@@ -372,7 +374,9 @@ class HeisenbergGroup(LexTupleGroup):
         return (
             type(x) is tuple
             and len(x) == 3
-            and all(type(v) is int for v in x)
+            and type(x[0]) is int
+            and type(x[1]) is int
+            and type(x[2]) is int
         )
 
     def render(self, x) -> str:

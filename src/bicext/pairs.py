@@ -7,11 +7,12 @@ positive-coordinate subsemigroup: membership in the latter is a
 predicate, not a separate class.
 
 Payloads are validated at the boundary only: the public constructor,
-``idempotent`` and the literal parser check them with ``contains``.
+``idempotent`` and the literal step parser check them with ``contains``.
 Products, inverses and solver results are built unchecked, because a
 carrier is closed under its own ``mul``, ``inv`` and ``carry``; the
 ``group-laws`` suite check guards that closure on every carrier it runs
-over.
+over.  A pair literal matched whole is built unchecked too: the
+literal pattern admits only carrier members (see ``literals``).
 
 Every value, checked or not, is filled the same way, by ``_make`` or
 its inline copy in ``__mul__``: plain attribute stores on a

@@ -89,6 +89,11 @@ class SuiteConfig(Record):
             raise ValueError(f"window must be an int, not {type(window).__name__}")
         if window < 1:
             raise ValueError("window must be >= 1")
+        if type(sample_seed) is not int:  # a bool is refused too
+            raise ValueError(f"sample_seed must be an int, not {type(sample_seed).__name__}")
+        # a bare string would otherwise be read as a tuple of one-letter names
+        if type(suites) is not tuple or not all(type(s) is str for s in suites):
+            raise ValueError(f"suites must be a tuple of str, not {suites!r}")
         unknown = [s for s in suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite name(s): {', '.join(sorted(unknown))}")

@@ -21,6 +21,25 @@ def test_parse_examples():
     assert parse_payload("-3/4", Q) == Fraction(-3, 4)
 
 
+_BIG = 12345678901234567890123456789012345678  # 38 digits, so each part below has 38 or 39
+
+
+@pytest.mark.parametrize("text, left, right", [
+    ("[0/5|-2/4]", (0, 5), (-2, 4)),
+    ("[\u0663/\u0666|1]", (3, 6), (1, 1)),  # Arabic-Indic digits 3 and 6
+    (f"[{6 * _BIG}/{4 * _BIG + 4}|-{10 * _BIG}/{(_BIG + 1) * 15}]",
+     (6 * _BIG, 4 * _BIG + 4), (-10 * _BIG, (_BIG + 1) * 15)),
+], ids=["zero-numerator", "unicode-digits", "long-parts"])
+def test_matched_fractions_equal_fraction_in_value_type_and_hash(text, left, right):
+    # a matched Q literal is reduced by the parser itself, not by Fraction()
+    s = parse_pair(text, Q)
+    for got, (n, d) in ((s.left, left), (s.right, right)):
+        want = Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got, got.numerator, got.denominator) == (want, want.numerator, want.denominator)
+        assert hash(got) == hash(want)
+
+
 def test_whitespace_tolerated():
     assert parse_pair("[ 3 | 5 ]", Z) == BElement(Z, 3, 5)
     assert parse_payload("  42 ", Z) == 42

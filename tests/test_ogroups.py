@@ -395,3 +395,12 @@ def test_contains_is_strict(any_group):
     assert g.contains(g.identity)
     assert not g.contains("nope")
     assert not g.contains(True)
+    if g.payload_kind == "int-tuple":
+        n = g.payload_arity
+        assert g.contains((1,) * n)
+        assert not g.contains((1,) * (n - 1))
+        assert not g.contains((1,) * (n + 1))
+        assert not g.contains([1] * n)
+        # a non-int in any one coordinate is refused
+        for i, bad in itertools.product(range(n), (True, 1.0, "1")):
+            assert not g.contains((1,) * i + (bad,) + (1,) * (n - 1 - i)), (i, bad)

@@ -235,6 +235,22 @@ def test_config_refuses_a_window_that_is_not_an_int(window):
         SuiteConfig(group="Z", window=window, suites=("axioms",))
 
 
+@pytest.mark.parametrize("seed", [None, "3", 2.5, True], ids=["none", "str", "float", "bool"])
+def test_config_refuses_a_sample_seed_that_is_not_an_int(seed):
+    with pytest.raises(ValueError, match="sample_seed must be an int"):
+        SuiteConfig(group="Z", window=1, sample_seed=seed, suites=("axioms",))
+
+
+@pytest.mark.parametrize(
+    "suites", ["axioms", ["axioms"], ("axioms", 3), (b"axioms",)],
+    ids=["str", "list", "int-name", "bytes-name"],
+)
+def test_config_refuses_suites_that_are_not_a_tuple_of_str(suites):
+    # a bare string used to be refused as unknown names a, i, m, o, s, x
+    with pytest.raises(ValueError, match="suites must be a tuple of str"):
+        SuiteConfig(group="Z", window=1, suites=suites)
+
+
 def test_suite_subset_keeps_registry_order():
     cfg = SuiteConfig(group="Z", suites=("order", "axioms"))
     assert cfg.suite_names() == ("axioms", "order")

@@ -94,6 +94,18 @@ MUTANTS = {
         "suites", "if type(window) is not int:", "if False:",
         "SuiteConfig refuses a window that is not an int",
     ),
+    "exact-required": (
+        "cli", "required <= seen", "True",
+        "an exact-token line that omits a required option goes to argparse, which refuses it",
+    ),
+    "q-literal-reduction": (
+        "literals", "k, j = gcd(n, d), gcd(p, q)", "k = j = 1",
+        "a matched Q literal is the reduced fraction Fraction(n, d) builds",
+    ),
+    "h3-contains-coordinate": (
+        "ogroups", "and type(x[2]) is int", "and True",
+        "H3 membership refuses a non-int in every coordinate",
+    ),
 }
 
 # id: why no test can tell the mutant from the original
