@@ -246,7 +246,7 @@ def test_config_refuses_a_sample_seed_that_is_not_an_int(seed):
     ids=["str", "list", "int-name", "bytes-name"],
 )
 def test_config_refuses_suites_that_are_not_a_tuple_of_str(suites):
-    # a bare string used to be refused as unknown names a, i, m, o, s, x
+    # a bare string is refused as a whole, not read as one-letter suite names
     with pytest.raises(ValueError, match="suites must be a tuple of str"):
         SuiteConfig(group="Z", window=1, suites=suites)
 
