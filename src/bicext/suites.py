@@ -29,8 +29,11 @@ each report one library verdict.
 from __future__ import annotations
 
 import itertools
+import marshal
 import operator
+import os
 import random
+import threading
 import time
 from collections import Counter
 from functools import cache, partial
@@ -97,7 +100,8 @@ class SuiteConfig(Record):
         unknown = [s for s in suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suite name(s): {', '.join(sorted(unknown))}")
-        if not isinstance(group, OrderedGroup) and group not in GROUPS:
+        # the type first: an unhashable selector would make the lookup raise TypeError
+        if not (isinstance(group, OrderedGroup) or isinstance(group, str) and group in GROUPS):
             raise ValueError(f"unknown group selector {group!r}")
 
     def resolve_group(self) -> OrderedGroup:
@@ -902,6 +906,99 @@ SUITES: Dict[str, Tuple[Tuple[str, Callable[[_Ctx], Outcome]], ...]] = {
 }
 
 
+# a check's index travels through the queue pipe as one byte
+assert sum(map(len, SUITES.values())) <= 256
+
+# the shipped carriers' classes hold no state, so a forked child calling
+# them changes nothing the caller sees; a subclass may (a counting carrier)
+_STATELESS = frozenset(map(type, GROUPS.values()))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _splits(group: OrderedGroup, count: int) -> bool:
+    """Whether ``run_suites`` shares its ``count`` checks with a forked child."""
+    return (
+        type(group) in _STATELESS
+        and count >= 2
+        and hasattr(os, "fork")
+        and _usable_cpus() >= 2
+        and threading.active_count() == 1  # forking with threads alive is unsafe
+    )
+
+
+def _take(queue: int, run: Callable[[int], tuple], results: dict) -> None:
+    """``results[i] = run(i)`` for each index read from ``queue`` until it
+    is empty.  One-byte pipe reads are atomic, so two processes reading
+    the same queue run each check exactly once between them."""
+    while index := os.read(queue, 1):
+        results[index[0]] = run(index[0])
+
+
+def _child(queue: int, outbox: int, run: Callable[[int], tuple]) -> None:
+    """The forked child's whole life: take checks from ``queue``, send
+    ``{index: row}`` for those it finished through ``outbox`` with
+    ``marshal``, and leave through ``os._exit`` whatever happens, so it
+    never runs the caller's code, ``atexit`` handlers or stdout flushes."""
+    try:
+        done: dict = {}
+        try:
+            _take(queue, run, done)
+        finally:
+            data = marshal.dumps(done)
+            while data:
+                data = data[os.write(outbox, data):]
+    finally:
+        os._exit(0)
+
+
+def _split(run: Callable[[int], tuple], count: int) -> List[tuple]:
+    """``[run(0), ..., run(count - 1)]``, computed by this process and one
+    forked child, both taking indices from one queue pipe.  An index the
+    child did not return (it crashed, was killed or raised) runs again
+    here, so an unexpected exception reaches the caller with its own type.
+    The child is always reaped, and killed first if this process raises."""
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(count)))
+    os.close(feed)
+    inbox, outbox = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: this process takes every check
+        pid = None
+    if pid == 0:
+        _child(queue, outbox, run)
+    os.close(outbox)
+    results, data = {}, b""
+    try:
+        _take(queue, run, results)
+        while chunk := os.read(inbox, 1 << 16):
+            data += chunk
+    except BaseException:
+        if pid:
+            import signal  # loaded only on this path
+
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if pid:
+            os.waitpid(pid, 0)
+        os.close(queue)
+        os.close(inbox)
+    try:
+        results.update(marshal.loads(data))
+    except (EOFError, ValueError, TypeError):  # no child, or one cut off mid-write
+        pass
+    for index in range(count):
+        if index not in results:
+            results[index] = run(index)
+    return [results[index] for index in range(count)]
+
+
 def run_suites(cfg: SuiteConfig) -> SuiteReport:
     """Execute the configured suites and assemble one report.
 
@@ -911,17 +1008,31 @@ def run_suites(cfg: SuiteConfig) -> SuiteReport:
     raised in a check is recorded as a failure carrying the message; the
     case count runs through the raising tuple, and is 0 for an error raised
     while the tuples are built or in one of the three checks off ``_forall``.
+
+    On a shipped carrier, with at least two checks, two usable CPUs,
+    ``os.fork`` and no second thread alive, the checks are shared with
+    one forked child (see ``_split``); otherwise they run here in order.
+    The report is the same either way, but each check's ``wall_ms`` is
+    timed in the process that ran it, so their sum can exceed the call's
+    wall time.  A carrier subclass always runs here, since the child's
+    calls to it would change nothing the caller sees.
     """
     group = cfg.resolve_group()
     ctx = _Ctx(group, cfg.window, cfg.sample_seed)
-    results = []
-    for suite in cfg.suite_names():
-        for name, fn in SUITES[suite]:
-            t0 = time.perf_counter()
-            try:
-                status, cases, counter = fn(ctx)
-            except (BicextError, ValueError) as exc:
-                status, cases, counter = "fail", 0, _raised(exc)
-            wall = (time.perf_counter() - t0) * 1000.0
-            results.append(CheckResult(suite, name, status, cases, counter, wall))
-    return SuiteReport(group.name, cfg.window, cfg.sample_seed, tuple(results))
+    checks = [(suite, name, fn) for suite in cfg.suite_names() for name, fn in SUITES[suite]]
+
+    def run(index: int) -> tuple:
+        suite, name, fn = checks[index]
+        t0 = time.perf_counter()
+        try:
+            status, cases, counter = fn(ctx)
+        except (BicextError, ValueError) as exc:
+            status, cases, counter = "fail", 0, _raised(exc)
+        wall = (time.perf_counter() - t0) * 1000.0
+        return suite, name, status, cases, counter, wall
+
+    count = len(checks)
+    rows = _split(run, count) if _splits(group, count) else map(run, range(count))
+    return SuiteReport(
+        group.name, cfg.window, cfg.sample_seed, tuple(CheckResult(*row) for row in rows)
+    )

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import threading
+import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -226,6 +229,9 @@ def test_config_validation():
         SuiteConfig(group="Z", suites=("nope",))
     with pytest.raises(ValueError):
         SuiteConfig(group="Zillion")
+    # an unhashable selector is refused too, not failed in the lookup
+    with pytest.raises(ValueError, match="unknown group selector"):
+        SuiteConfig(group=["Z"], window=1)
 
 
 @pytest.mark.parametrize("window", [2.5, "3", True], ids=["float", "str", "bool"])
@@ -674,3 +680,173 @@ def test_triple_factorization_catches_a_reversed_product(monkeypatch):
     assert _check("triple-factorization")(suites._Ctx(Z, 2, 0)) == (
         "fail", 2, "factorization broke at -2,-2,-2,-1"
     )
+
+
+# --- checks shared with one forked child ----------------------------------
+#
+# ``run_suites`` splits its checks with a forked child only where at least
+# two CPUs are usable; these tests patch that probe, so they split, or
+# not, on any host.
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls this process makes from here on, one entry each."""
+    real, made = os.fork, []
+
+    def spy():
+        made.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return made
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: n, raising=False)
+
+
+def _wrap_checks(monkeypatch, wrap):
+    """Register ``wrap(name, fn)`` in place of every check ``fn``."""
+    for suite, checks in SUITES.items():
+        monkeypatch.setitem(SUITES, suite, tuple((name, wrap(name, fn)) for name, fn in checks))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("window", [1, 2])
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_split_report_equals_the_in_process_report(monkeypatch, group, window, seed):
+    cfg = SuiteConfig(group=group, window=window, sample_seed=seed)
+    _cpus(monkeypatch, 2)
+    split = run_suites(cfg)
+    _cpus(monkeypatch, 1)
+    alone = run_suites(cfg)
+    assert _strip_wall(split.to_json()) == _strip_wall(alone.to_json())
+
+
+def test_a_shipped_carrier_forks_once(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    report = run_suites(SuiteConfig(group="Z", window=1))
+    assert len(forks) == 1 and report.ok
+    _no_child_left()
+
+
+class _PlainIntegerGroup(IntegerGroup):
+    pass
+
+
+@pytest.mark.parametrize("case", ["subclass", "one-cpu", "second-thread", "one-check"])
+def test_no_fork_where_a_child_could_not_help(monkeypatch, forks, case):
+    _cpus(monkeypatch, 1 if case == "one-cpu" else 2)
+    cfg = SuiteConfig(
+        group=_PlainIntegerGroup() if case == "subclass" else "Z",
+        window=1,
+        suites=("ideals",) if case == "one-check" else (),
+    )
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "second-thread":
+        thread.start()
+    try:
+        report = run_suites(cfg)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join()
+    assert forks == [] and report.ok
+
+
+def test_a_counting_carrier_sees_every_call_through_run_suites(monkeypatch, counting):
+    # a subclass may hold state, so its calls all stay in the caller
+    _cpus(monkeypatch, 2)
+    carrier, calls = counting(Z)
+    run_suites(SuiteConfig(group=carrier, window=1))
+    through_runner = dict(calls)
+    calls.clear()
+    ctx = suites._Ctx(carrier, 1, 0)
+    for _, check in (entry for checks in SUITES.values() for entry in checks):
+        check(ctx)
+    assert through_runner == dict(calls) and calls["mul"] > 0
+
+
+def test_a_child_that_exits_early_still_gives_the_in_process_report(monkeypatch):
+    # the child dies at the first check it takes; the caller sleeps in
+    # each of its own so the child takes one, then runs that one again
+    cfg = SuiteConfig(group="Z", window=2, suites=("axioms", "order"))
+    _cpus(monkeypatch, 1)
+    alone = run_suites(cfg)
+    caller, ran = os.getpid(), []
+
+    def wrap(name, check):
+        def exiting(ctx):
+            if os.getpid() != caller:
+                os._exit(0)
+            time.sleep(0.01)
+            ran.append(name)
+            return check(ctx)
+
+        return exiting
+
+    _wrap_checks(monkeypatch, wrap)
+    _cpus(monkeypatch, 2)
+    split = run_suites(cfg)
+    assert _strip_wall(split.to_json()) == _strip_wall(alone.to_json())
+    assert sorted(ran) == sorted(c.name for c in alone.checks)
+    _no_child_left()
+
+
+def test_an_unexpected_error_reaches_the_caller_with_its_type(monkeypatch):
+    # a TypeError is no verdict: whichever process takes the check, it is
+    # raised to the caller, as the in-process loop raises it
+    def wrap(name, check):
+        if name != "natleq-vs-oracle":
+            return check
+
+        def raising(ctx):
+            raise TypeError("not a verdict")
+
+        return raising
+
+    _wrap_checks(monkeypatch, wrap)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(TypeError, match="not a verdict"):
+        run_suites(SuiteConfig(group="Z", window=1))
+    _no_child_left()
+
+
+def test_a_caller_that_raises_kills_its_child(monkeypatch):
+    caller = os.getpid()
+
+    def wrap(name, check):
+        def stalling(ctx):
+            if os.getpid() != caller:
+                time.sleep(5)
+            raise TypeError("not a verdict")
+
+        return stalling
+
+    _wrap_checks(monkeypatch, wrap)
+    _cpus(monkeypatch, 2)
+    t0 = time.monotonic()
+    with pytest.raises(TypeError):
+        run_suites(SuiteConfig(group="Z", window=1, suites=("ideals", "witnesses")))
+    assert time.monotonic() - t0 < 2.5  # not waiting for the stalled child
+    _no_child_left()
+
+
+def test_a_failed_fork_runs_every_check_in_the_caller(monkeypatch):
+    cfg = SuiteConfig(group="Z", window=1)
+    _cpus(monkeypatch, 1)
+    alone = run_suites(cfg)
+
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    _cpus(monkeypatch, 2)
+    assert _strip_wall(run_suites(cfg).to_json()) == _strip_wall(alone.to_json())

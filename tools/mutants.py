@@ -94,6 +94,19 @@ MUTANTS = {
         "suites", "if type(window) is not int:", "if False:",
         "SuiteConfig refuses a window that is not an int",
     ),
+    "split-merge-by-position": (
+        "suites", "return [results[index] for index in range(count)]",
+        "return list(results.values())",
+        "a split run reports its checks in registry order, whichever process ran them",
+    ),
+    "split-any-carrier": (
+        "suites", "type(group) in _STATELESS", "isinstance(group, OrderedGroup)",
+        "a carrier subclass, which may hold state, runs every check in the caller",
+    ),
+    "split-no-rerun": (
+        "suites", "if index not in results:", "if False:",
+        "a check the child took but did not return runs again in the caller",
+    ),
     "exact-required": (
         "cli", "required <= seen", "True",
         "an exact-token line that omits a required option goes to argparse, which refuses it",
