@@ -24,6 +24,14 @@ pair, a witness case one chain, a presentation case one relation or
 pool pair.  Three checks count their own cases: ``noncommutative-witness``
 stops at its first witness, and ``cone-axioms`` and ``density-probe``
 each report one library verdict.
+
+``run_suites`` runs its checks in two processes where it can: on a
+shipped carrier, with at least two checks, two usable CPUs, ``os.fork``
+and one live thread, it forks one child, and both take check indices
+from one pipe.  The child returns its rows with ``marshal``; a row it
+does not return is computed again in the caller.  Everywhere else the
+checks run in order in the caller.  The report is the same apart from
+``wall_ms``, which is timed in whichever process ran the check.
 """
 
 from __future__ import annotations

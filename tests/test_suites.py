@@ -839,6 +839,15 @@ def test_a_caller_that_raises_kills_its_child(monkeypatch):
     _no_child_left()
 
 
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # hosts without an affinity call (macOS) count every CPU as usable
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert suites._usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert suites._usable_cpus() == 2
+
+
 def test_a_failed_fork_runs_every_check_in_the_caller(monkeypatch):
     cfg = SuiteConfig(group="Z", window=1)
     _cpus(monkeypatch, 1)
