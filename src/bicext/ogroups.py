@@ -5,10 +5,16 @@ multiplication, inversion, a total order invariant under translation on
 both sides, and an optional successor/predecessor when the order is not
 dense.  Four concrete carriers ship: integers, rationals, integer pairs
 under the lexicographic order, and the discrete Heisenberg group ordered
-lexicographically.  Each writes ``carry(x, y, z) = x * y^-1 * z``, which
-every pair product, the natural order and the solvers reduce to, in
-closed form.  The Heisenberg order is validated by the cone
-checker at the bottom of this module rather than taken on faith.
+lexicographically.  Each writes two operations in closed form:
+``carry(x, y, z) = x * y^-1 * z``, which the natural order and the
+solvers reduce to, and ``pair_product(a, b, c, d)``, the coordinates of
+the pair product [a|b] * [c|d], which is one comparison and at most one
+carry.  A subclass or mixin that replaces a primitive a closed form is
+written over (``mul`` or ``inv`` for ``carry``; ``cmp``, ``carry``,
+``mul`` or ``inv`` for ``pair_product``) without defining that form
+again gets the generic one, so it sees its own primitives called.  The
+Heisenberg order is validated by the cone checker at the bottom of this
+module rather than taken on faith.
 
 Element payloads are plain Python values (int, Fraction, tuple of ints),
 so equality is structural and all arithmetic is exact; integers never
@@ -81,12 +87,28 @@ class OrderedGroup:
         """x * y^-1 * z, where the shift carrying y onto z sends x."""
         return self.mul(self.mul(x, self.inv(y)), z)
 
+    def pair_product(
+        self, a: Element, b: Element, c: Element, d: Element
+    ) -> Tuple[Element, Element]:
+        """The coordinates of [a|b] * [c|d]: (c * b^-1 * a, d) when b < c,
+        (a, b * c^-1 * d) when b > c, and (a, d) when b = c."""
+        verdict = self.cmp(b, c)
+        if verdict < 0:
+            return self.carry(c, b, a), d
+        if verdict > 0:
+            return a, self.carry(b, c, d)
+        return a, d
+
     def __init_subclass__(cls, **kwargs):
-        # a subclass or mixin replacing mul or inv, not carry, gets this carry
+        # a subclass or mixin replacing a primitive, but not the closed form
+        # written over it, gets the generic form (see the module docstring)
         super().__init_subclass__(**kwargs)
         home = next(k for k in cls.__mro__ if "carry" in vars(k))
         if cls.mul is not home.mul or cls.inv is not home.inv:
             cls.carry = OrderedGroup.carry
+        home = next(k for k in cls.__mro__ if "pair_product" in vars(k))
+        if any(getattr(cls, op) is not getattr(home, op) for op in ("cmp", "carry", "mul", "inv")):
+            cls.pair_product = OrderedGroup.pair_product
 
     def cmp(self, g: Element, h: Element) -> int:
         """Total-order verdict: -1 (less), 0 (equal) or 1 (greater)."""
@@ -190,6 +212,13 @@ class IntegerGroup(OrderedGroup):
     def carry(self, x, y, z):
         return x - y + z
 
+    def pair_product(self, a, b, c, d):
+        if b < c:
+            return c - b + a, d
+        if b > c:
+            return a, b - c + d
+        return a, d
+
     def contains(self, x) -> bool:
         return type(x) is int
 
@@ -255,6 +284,15 @@ class RationalGroup(OrderedGroup):
         a = g._numerator * h._denominator
         b = h._numerator * g._denominator
         return (a > b) - (a < b)
+
+    def pair_product(self, a, b, c, d):
+        # cmp's cross-multiplication, read once
+        x, y = b._numerator * c._denominator, c._numerator * b._denominator
+        if x < y:
+            return self.carry(c, b, a), d
+        if x > y:
+            return a, self.carry(b, c, d)
+        return a, d
 
     def contains(self, x) -> bool:
         return isinstance(x, Fraction)
@@ -334,6 +372,13 @@ class LexPairGroup(LexTupleGroup):
     def carry(self, x, y, z):
         return (x[0] - y[0] + z[0], x[1] - y[1] + z[1])
 
+    def pair_product(self, a, b, c, d):
+        if b < c:
+            return (c[0] - b[0] + a[0], c[1] - b[1] + a[1]), d
+        if b > c:
+            return a, (b[0] - c[0] + d[0], b[1] - c[1] + d[1])
+        return a, d
+
     def contains(self, x) -> bool:
         return (
             type(x) is tuple
@@ -369,6 +414,15 @@ class HeisenbergGroup(LexTupleGroup):
     def carry(self, x, y, z):
         s = x[0] - y[0]
         return (s + z[0], x[1] - y[1] + z[1], x[2] - y[2] + z[2] + s * (z[1] - y[1]))
+
+    def pair_product(self, a, b, c, d):
+        if b < c:
+            s = c[0] - b[0]
+            return (s + a[0], c[1] - b[1] + a[1], c[2] - b[2] + a[2] + s * (a[1] - b[1])), d
+        if b > c:
+            s = b[0] - c[0]
+            return a, (s + d[0], b[1] - c[1] + d[1], b[2] - c[2] + d[2] + s * (d[1] - c[1]))
+        return a, d
 
     def contains(self, x) -> bool:
         return (

@@ -1,8 +1,8 @@
 """Pairs of group elements under the three-case anchored product.
 
 A pair (a, b) stands for the shift carrying the cone at ``a`` onto the
-cone at ``b``; composing two shifts collapses to the closed formula in
-``__mul__``.  One type serves both the full pair semigroup and its
+cone at ``b``; composing two shifts collapses to the closed formula of
+the carrier's ``pair_product``, which ``__mul__`` calls once.  One type serves both the full pair semigroup and its
 positive-coordinate subsemigroup: membership in the latter is a
 predicate, not a separate class.
 
@@ -77,18 +77,10 @@ class BElement(_PairSlots, Record):
             raise InstanceMismatch(
                 f"cannot multiply a {g.name} pair with a {other.group.name} pair"
             )
-        a, b = self.left, self.right
-        c, d = other.left, other.right
-        verdict = g.cmp(b, c)
-        if verdict < 0:
-            a = g.carry(c, b, a)
-        elif verdict > 0:
-            d = g.carry(b, c, d)
         # built inline as _make does, one call frame cheaper per product
         s = _PairSlots()
         s.group = g
-        s.left = a
-        s.right = d
+        s.left, s.right = g.pair_product(self.left, self.right, other.left, other.right)
         s.__class__ = BElement
         return s
 

@@ -6,6 +6,12 @@ budget, otherwise a seeded deterministic subset (so reruns with the same
 configuration examine byte-identical cases).  Reports are plain data
 with a stable JSON form; only the wall-time fields vary between runs.
 
+The brute-force rows of the solver, sandwich and factorization checks
+compare coordinates: they call the carrier's ``pair_product`` directly
+and build no pairs.  ``rep-soundness`` is that product's independent
+oracle: it multiplies pairs and compares each with the shift composite,
+which uses only ``mul``, ``inv`` and ``maximum``.
+
 The brute-force oracles memoize their pure products inside each check:
 the products of each known factor with the whole pool, kept until the
 last sample that reads them, and the pool's up-set above each distinct
@@ -38,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import marshal
-import operator
 import os
 import random
 import threading
@@ -595,9 +600,8 @@ def c_triple_factorization(ctx: _Ctx) -> Outcome:
     g = ctx.group
 
     def fault(a, b, c, d):
-        # the factors already checked a and b: compare [a|b] by coordinates
-        p = BElement(g, a, c) * BElement(g, c, d) * BElement(g, d, b)
-        if (p.left, p.right) != (a, b):
+        # [a|c] * [c|d] * [d|b] by coordinates, building no pair
+        if g.pair_product(*g.pair_product(a, c, c, d), d, b) != (a, b):
             return f"factorization broke at {','.join(map(g.render, (a, b, c, d)))}"
 
     return _forall((_tuples(ctx.window(), 4, 6000, ctx.rng("factorization")), fault))
@@ -634,14 +638,17 @@ def _solver_completeness(ctx: _Ctx, side: str, bplus: bool) -> Outcome:
     budget_pairs = max(16, BUDGET // max(1, len(pool)))
     samples = list(_tuples(pool, 2, budget_pairs, ctx.rng(f"solve-{side}-{bplus}")))
     solve = solve_right if side == "right" else solve_left
+    product = ctx.group.pair_product
+    coords = [(w.left, w.right) for w in pool]
 
     def products(known):
         """The coordinates of ``known * w`` (``w * known`` on the left) for
         each w in the pool; every pair here is over one carrier, so pairs
         are equal exactly when their coordinates are."""
-        same = itertools.repeat(known)
-        factors = (same, pool) if side == "right" else (pool, same)
-        return [(p.left, p.right) for p in map(operator.mul, *factors)]
+        a, b = known.left, known.right
+        if side == "right":
+            return [product(a, b, c, d) for c, d in coords]
+        return [product(c, d, a, b) for c, d in coords]
 
     rows = _rows_once([known for _, known in samples], products)
 
@@ -666,10 +673,12 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
     expected = _window_solutions(pool)
     budget_quads = max(12, BUDGET // max(1, len(pool)))
     quads = list(_tuples(elems, 4, budget_quads, ctx.rng(f"sandwich-{bplus}")))
-    # the first products leftk * w, once per left factor (a, c)
+    product = g.pair_product
+    coords = [(w.left, w.right) for w in pool]
+    # the coordinates of the first products leftk * w, once per left factor (a, c)
     lefts_of = _rows_once(
         [(a, c) for a, _, c, _ in quads],
-        lambda ac: list(map(BElement(g, *ac).__mul__, pool)),
+        lambda ac: [product(*ac, x, y) for x, y in coords],
     )
 
     def fault(quad, lefts):
@@ -677,9 +686,7 @@ def _sandwich_completeness(ctx: _Ctx, bplus: bool) -> Outcome:
         target, leftk, rightk = BElement(g, a, b), BElement(g, a, c), BElement(g, d, b)
         sol = solve_sandwich(target, leftk, rightk, bplus=bplus)
         # as in the solver checks, pairs are compared by coordinates
-        brute = [
-            w for w, lw in zip(pool, lefts) if (p := lw * rightk).right == b and p.left == a
-        ]
+        brute = [w for w, (x, y) in zip(pool, lefts) if product(x, y, d, b) == (a, b)]
         if brute != expected(sol):
             return (
                 f"sandwich solutions for target {target} via {leftk}, {rightk} "

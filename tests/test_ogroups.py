@@ -228,6 +228,75 @@ def test_carry_guard_gives_replaced_primitives_the_generic_carry(
     assert carrier.carry(5, 2, 1) == 4 and calls == {"mul": 2, "inv": 1}
 
 
+# pair_product(a, b, c, d) is the coordinates of [a|b] * [c|d].  Each
+# shipped carrier writes it in closed form; the generic body compares with
+# cmp and moves one coordinate with carry.  Window elements and ~40-digit
+# payloads, each product taken with b below, above and equal to c.
+_product_big = {
+    "Z": st.integers(-_big, _big),
+    "ZxZ": st.tuples(st.integers(-_big, _big), st.integers(-_big, _big)),
+    "H3": st.tuples(*[st.integers(-_big, _big)] * 3),
+    "Q": fractions_small_and_big,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@given(data=st.data())
+def test_pair_product_closed_form_is_the_generic_one(name, data):
+    from bicext.pairs import BElement
+
+    g = GROUPS[name]
+    elements = st.sampled_from(g.window(2)) | _product_big[name]
+    a, x, y, d = (data.draw(elements) for _ in range(4))
+    # b against c: one way, the other, and equal
+    for b, c in ((x, y), (y, x), (x, x)):
+        got = g.pair_product(a, b, c, d)
+        s = BElement(g, a, b) * BElement(g, c, d)
+        assert got == OrderedGroup.pair_product(g, a, b, c, d) == (s.left, s.right)
+        # the payload types too: an int is never a bool, a fraction is reduced
+        assert type(got) is tuple and all(map(g.contains, got))
+        if g is Q:
+            assert all(_same_fraction(p, Fraction(p.numerator, p.denominator)) for p in got)
+
+
+@pytest.mark.parametrize("op", ["cmp", "carry", "mul", "inv"])
+def test_pair_product_guard_gives_a_replaced_primitive_the_generic_body(op):
+    for g in GROUPS.values():
+        base = type(g)
+        # replacing one primitive, even by a call to the same function
+        forward = {op: lambda self, *args, real=getattr(base, op): real(self, *args)}
+        assert type("Replaced", (base,), forward).pair_product is OrderedGroup.pair_product
+        # replacing none keeps the closed form
+        plain = type("Plain", (base,), {"name": "plain"})
+        assert plain.pair_product is vars(base)["pair_product"] is not OrderedGroup.pair_product
+
+
+def test_pair_product_guard_covers_the_counting_and_tampered_carriers(
+    broken_group, leaky_group, counting
+):
+    tracing = _tracing()
+    for g in GROUPS.values():
+        assert type(counting(g)[0]).pair_product is OrderedGroup.pair_product
+        assert type(tracing.counting(g)).pair_product is OrderedGroup.pair_product
+    # the tampered carrier replaces only cmp, the leaky one only mul
+    assert type(broken_group).pair_product is OrderedGroup.pair_product
+    assert type(leaky_group).pair_product is OrderedGroup.pair_product
+    # so a counting carrier's product makes one comparison and one carry's calls
+    carrier, calls = counting(Z)
+    assert carrier.pair_product(0, 2, 1, 5) == (0, 6)
+    assert calls == {"cmp": 1, "mul": 2, "inv": 1}
+
+    # defining pair_product beside the replaced primitives keeps that body
+    class OwnProduct(type(Z)):
+        def cmp(self, g, h):
+            return (g > h) - (g < h)
+
+        def pair_product(self, a, b, c, d):
+            return OrderedGroup.pair_product(self, a, b, c, d)
+
+    assert OwnProduct.pair_product is vars(OwnProduct)["pair_product"]
+
+
 def test_rational_constants_are_shared_and_unchanged():
     from bicext.ogroups import RationalGroup
 

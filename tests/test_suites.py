@@ -1,4 +1,5 @@
 import json
+import marshal
 import os
 import random
 import threading
@@ -675,10 +676,30 @@ def test_natorder_partial_order_catches_a_relation_that_is_not_transitive(monkey
 
 
 def test_triple_factorization_catches_a_reversed_product(monkeypatch):
-    real = BElement.__mul__
-    monkeypatch.setattr(BElement, "__mul__", lambda s, t: real(t, s))
+    # the check multiplies coordinates through the carrier, building no pair
+    real = IntegerGroup.pair_product
+    monkeypatch.setattr(IntegerGroup, "pair_product", lambda g, a, b, c, d: real(g, c, d, a, b))
     assert _check("triple-factorization")(suites._Ctx(Z, 2, 0)) == (
         "fail", 2, "factorization broke at -2,-2,-2,-1"
+    )
+
+
+def test_a_product_wrong_only_above_fails_the_solver_rows_and_rep_soundness(monkeypatch):
+    # [a|b] * [c|d] with b > c keeps d instead of carrying it to b - c + d;
+    # the solver rows read that product, and rep-soundness holds it to the
+    # shift composite, which multiplies nothing
+    real = IntegerGroup.pair_product
+    monkeypatch.setattr(
+        IntegerGroup, "pair_product",
+        lambda g, a, b, c, d: (a, d) if b > c else real(g, a, b, c, d),
+    )
+    ctx = suites._Ctx(Z, 2, 0)
+    assert _check("solve-right-complete")(ctx) == (
+        "fail", 2,
+        "window solutions of target [-2|-2], known [-2|-1] (right) do not match UpSet",
+    )
+    assert _check("rep-soundness")(ctx) == (
+        "fail", 26, "pair product and shift composite split on [-2|-1], [-2|-2]"
     )
 
 
@@ -837,6 +858,75 @@ def test_a_caller_that_raises_kills_its_child(monkeypatch):
         run_suites(SuiteConfig(group="Z", window=1, suites=("ideals", "witnesses")))
     assert time.monotonic() - t0 < 2.5  # not waiting for the stalled child
     _no_child_left()
+
+
+class _Exited(BaseException):
+    """What ``os._exit`` raises in the tests below, so the child's code runs in-process."""
+
+
+def _exits(monkeypatch):
+    """The codes ``os._exit`` is called with from here on; each call raises ``_Exited``."""
+    codes = []
+
+    def exit_(code):
+        codes.append(code)
+        raise _Exited
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    return codes
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_the_child_sends_the_rows_it_took_and_exits_with_0(monkeypatch, raises):
+    # the child takes indices 0, 2 and 5; a check that raises ends its run
+    # there, and the rows finished before it are still sent
+    codes = _exits(monkeypatch)
+    queue, feed = os.pipe()
+    os.write(feed, bytes([0, 2, 5]))
+    os.close(feed)
+    inbox, outbox = os.pipe()
+
+    def run(index):
+        if raises and index == 2:
+            raise TypeError("not a verdict")
+        return "suite", f"check-{index}", "pass", index, None, 0.5
+
+    try:
+        with pytest.raises(_Exited):
+            suites._child(queue, outbox, run)
+    finally:
+        os.close(queue)
+        os.close(outbox)
+    data = os.read(inbox, 1 << 16)
+    os.close(inbox)
+    taken = [0] if raises else [0, 2, 5]
+    assert data == marshal.dumps({index: run(index) for index in taken})
+    assert codes == [0]
+
+
+def test_a_forked_split_runs_only_the_child(monkeypatch):
+    # in the child, fork returned 0: it takes every check, sends the rows
+    # and leaves, never reaching the caller's side of the split
+    codes = _exits(monkeypatch)
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    real, fds = os.pipe, []
+
+    def pipe():
+        fds.extend(ends := real())
+        return ends
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    try:
+        with pytest.raises(_Exited):
+            suites._split(lambda index: ("row", index), 3)
+    finally:
+        # the queue and the outbox; the split closed the feed itself
+        os.close(fds[0])
+        os.close(fds[3])
+    data = os.read(fds[2], 1 << 16)
+    os.close(fds[2])
+    assert marshal.loads(data) == {0: ("row", 0), 1: ("row", 1), 2: ("row", 2)}
+    assert codes == [0]
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):

@@ -119,6 +119,19 @@ MUTANTS = {
         "ogroups", "and type(x[2]) is int", "and True",
         "H3 membership refuses a non-int in every coordinate",
     ),
+    "z-product-above": (
+        "ogroups", "return a, b - c + d", "return a, d",
+        "Z's pair product carries the right coordinate when b > c",
+    ),
+    "product-guard": (
+        "ogroups", "cls.pair_product = OrderedGroup.pair_product", "pass",
+        "a carrier that replaces cmp, carry, mul or inv gets the generic pair product",
+    ),
+    "q-product-cross": (
+        "ogroups", "x, y = b._numerator * c._denominator, c._numerator * b._denominator",
+        "x, y = c._numerator * b._denominator, b._numerator * c._denominator",
+        "Q's pair product orders b and c as cmp does",
+    ),
 }
 
 # id: why no test can tell the mutant from the original
