@@ -327,8 +327,9 @@ class LexTupleGroup(OrderedGroup):
 
     The order, identity, successor and window depend on the arity
     alone, so they live here.  Each subclass keeps its own ``mul``,
-    ``inv``, ``contains`` and ``render`` written out for its arity: these
-    sit on the hot path, and generic tuple loops cost about twice as much.
+    ``inv``, ``carry``, ``pair_product``, ``contains`` and ``render``
+    written out for its arity: these sit on the hot path, and generic
+    tuple loops cost about twice as much.
     """
 
     payload_kind = "int-tuple"
