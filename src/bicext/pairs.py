@@ -2,9 +2,10 @@
 
 A pair (a, b) stands for the shift carrying the cone at ``a`` onto the
 cone at ``b``; composing two shifts collapses to the closed formula of
-the carrier's ``pair_product``, which ``__mul__`` calls once.  One type serves both the full pair semigroup and its
-positive-coordinate subsemigroup: membership in the latter is a
-predicate, not a separate class.
+the carrier's ``pair_product``, which ``__mul__`` calls once.  One type
+serves both the full pair semigroup and its positive-coordinate
+subsemigroup: membership in the latter is a predicate, not a separate
+class.
 
 Payloads are validated at the boundary only: the public constructor,
 ``idempotent`` and the literal step parser check them with ``contains``.
