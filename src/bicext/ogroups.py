@@ -5,16 +5,18 @@ multiplication, inversion, a total order invariant under translation on
 both sides, and an optional successor/predecessor when the order is not
 dense.  Four concrete carriers ship: integers, rationals, integer pairs
 under the lexicographic order, and the discrete Heisenberg group ordered
-lexicographically.  Each writes two operations in closed form:
-``carry(x, y, z) = x * y^-1 * z``, which the natural order and the
-solvers reduce to, and ``pair_product(a, b, c, d)``, the coordinates of
-the pair product [a|b] * [c|d], which is one comparison and at most one
-carry.  A subclass or mixin that replaces a primitive a closed form is
-written over (``mul`` or ``inv`` for ``carry``; ``cmp``, ``carry``,
-``mul`` or ``inv`` for ``pair_product``) without defining that form
-again gets the generic one, so it sees its own primitives called.  The
-Heisenberg order is validated by the cone checker at the bottom of this
-module rather than taken on faith.
+lexicographically.  Each writes ``carry(x, y, z) = x * y^-1 * z``,
+which the natural order and the solvers reduce to, in closed form.
+``pair_product(a, b, c, d)``, the coordinates of the pair product
+[a|b] * [c|d], is one comparison and at most one carry; the integer and
+lexicographic carriers write it in closed form on native comparison,
+and the rationals keep the generic body, whose ``cmp`` is already one
+cross-multiplication.  A subclass or mixin that replaces a primitive a
+closed form is written over (``mul`` or ``inv`` for ``carry``; ``cmp``,
+``carry``, ``mul`` or ``inv`` for ``pair_product``) without defining
+that form again gets the generic one, so it sees its own primitives
+called.  The Heisenberg order is validated by the cone checker at the
+bottom of this module rather than taken on faith.
 
 Element payloads are plain Python values (int, Fraction, tuple of ints),
 so equality is structural and all arithmetic is exact; integers never
@@ -99,16 +101,18 @@ class OrderedGroup:
             return a, self.carry(b, c, d)
         return a, d
 
+    # each closed form and the primitives it is written over; carry comes
+    # first, so pair_product's check sees the carry this guard settled
+    _closed_forms = {"carry": ("mul", "inv"), "pair_product": ("cmp", "carry", "mul", "inv")}
+
     def __init_subclass__(cls, **kwargs):
         # a subclass or mixin replacing a primitive, but not the closed form
         # written over it, gets the generic form (see the module docstring)
         super().__init_subclass__(**kwargs)
-        home = next(k for k in cls.__mro__ if "carry" in vars(k))
-        if cls.mul is not home.mul or cls.inv is not home.inv:
-            cls.carry = OrderedGroup.carry
-        home = next(k for k in cls.__mro__ if "pair_product" in vars(k))
-        if any(getattr(cls, op) is not getattr(home, op) for op in ("cmp", "carry", "mul", "inv")):
-            cls.pair_product = OrderedGroup.pair_product
+        for form, primitives in OrderedGroup._closed_forms.items():
+            home = next(k for k in cls.__mro__ if form in vars(k))
+            if any(getattr(cls, op) is not getattr(home, op) for op in primitives):
+                setattr(cls, form, getattr(OrderedGroup, form))
 
     def cmp(self, g: Element, h: Element) -> int:
         """Total-order verdict: -1 (less), 0 (equal) or 1 (greater)."""
@@ -284,15 +288,6 @@ class RationalGroup(OrderedGroup):
         a = g._numerator * h._denominator
         b = h._numerator * g._denominator
         return (a > b) - (a < b)
-
-    def pair_product(self, a, b, c, d):
-        # cmp's cross-multiplication, read once
-        x, y = b._numerator * c._denominator, c._numerator * b._denominator
-        if x < y:
-            return self.carry(c, b, a), d
-        if x > y:
-            return a, self.carry(b, c, d)
-        return a, d
 
     def contains(self, x) -> bool:
         return isinstance(x, Fraction)

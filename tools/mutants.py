@@ -123,14 +123,9 @@ MUTANTS = {
         "ogroups", "return a, b - c + d", "return a, d",
         "Z's pair product carries the right coordinate when b > c",
     ),
-    "product-guard": (
-        "ogroups", "cls.pair_product = OrderedGroup.pair_product", "pass",
-        "a carrier that replaces cmp, carry, mul or inv gets the generic pair product",
-    ),
-    "q-product-cross": (
-        "ogroups", "x, y = b._numerator * c._denominator, c._numerator * b._denominator",
-        "x, y = c._numerator * b._denominator, b._numerator * c._denominator",
-        "Q's pair product orders b and c as cmp does",
+    "closed-form-guard": (
+        "ogroups", "setattr(cls, form, getattr(OrderedGroup, form))", "pass",
+        "a carrier that replaces a primitive gets the generic carry and pair product",
     ),
 }
 
