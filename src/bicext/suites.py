@@ -6,11 +6,19 @@ budget, otherwise a seeded deterministic subset (so reruns with the same
 configuration examine byte-identical cases).  Reports are plain data
 with a stable JSON form; only the wall-time fields vary between runs.
 
-The brute-force rows of the solver, sandwich and factorization checks
-compare coordinates: they call the carrier's ``pair_product`` directly
-and build no pairs.  ``rep-soundness`` is that product's independent
-oracle: it multiplies pairs and compares each with the shift composite,
-which uses only ``mul``, ``inv`` and ``maximum``.
+The brute-force rows of the solver, sandwich and factorization checks,
+and the law checks ``pair-associativity``, ``pair-inverse-unique``'s
+candidate scan and ``witness-chains``' two uniqueness scans, compare
+coordinates: they call the carrier's ``pair_product`` directly and
+build no pairs, since pairs over one carrier are equal exactly when
+their coordinates are.  The other checks, like every library call,
+multiply pairs, and for four of them the pair product is part of the
+claim: ``rep-soundness`` is that product's independent oracle, comparing
+``s * t`` with the shift composite, which uses only ``mul``, ``inv`` and
+``maximum``; ``natorder-compatibility`` hands its products to
+``nat_leq``; ``bicyclic-presentation`` checks the generators' relations
+on pairs; and ``pair-inverse-unique`` checks each probe's own
+``inverse()`` by ``s * inv * s`` and ``inv * s * inv``.
 
 The brute-force oracles memoize their pure products inside each check:
 the products of each known factor with the whole pool, kept until the
@@ -450,10 +458,14 @@ def c_noncommutative_witness(ctx: _Ctx) -> Outcome:
 
 
 def c_pair_associativity(ctx: _Ctx) -> Outcome:
-    return _forall((
-        _tuples(ctx.pairs(), 3, BUDGET // 3, ctx.rng("pair-assoc")),
-        lambda s, t, u: (s * t) * u != s * (t * u) and f"associativity broke at {s}, {t}, {u}",
-    ))
+    product = ctx.group.pair_product
+
+    def fault(s, t, u):
+        a, b, c, d, e, f = s.left, s.right, t.left, t.right, u.left, u.right
+        if product(*product(a, b, c, d), e, f) != product(a, b, *product(c, d, e, f)):
+            return f"associativity broke at {s}, {t}, {u}"
+
+    return _forall((_tuples(ctx.pairs(), 3, BUDGET // 3, ctx.rng("pair-assoc")), fault))
 
 
 def c_pair_inverse_unique(ctx: _Ctx) -> Outcome:
@@ -461,13 +473,21 @@ def c_pair_inverse_unique(ctx: _Ctx) -> Outcome:
     rng = ctx.rng("inverse-unique")
     probes = _subset(pool, 60, rng)
     candidates = _subset(pool, 800, rng)
+    product = ctx.group.pair_product
+    coords = [(t.left, t.right) for t in candidates]
 
     def fault(s):
         inv = s.inverse()
         if s * inv * s != s or inv * s * inv != inv:
             return f"inverse law broke at {s}"
-        for t in candidates:
-            if t != inv and s * t * s == s and t * s * t == t:
+        a, b = s.left, s.right
+        # t = [c|d]: not the inverse [b|a], s * t * s = s and t * s * t = t
+        for t, (c, d) in zip(candidates, coords):
+            if (
+                (c, d) != (b, a)
+                and product(*product(a, b, c, d), a, b) == (a, b)
+                and product(*product(c, d, a, b), c, d) == (c, d)
+            ):
                 return f"second inverse {t} found for {s}"
 
     return _forall((zip(probes), fault))
@@ -787,17 +807,21 @@ def c_witness_chains(ctx: _Ctx) -> Outcome:
     # chain endpoints are drawn from the same elements the candidate pairs
     # are built over, so both unique solutions are inside the brute window
     coords = ctx.pool_elements()
-    candidates = ctx.pairs()
+    candidates = [(t.left, t.right) for t in ctx.pairs()]
     count = max(4, min(25, BUDGET // max(1, 2 * len(candidates))))
+    product = g.pair_product
 
     def fault(a, b, c, d):
         seed, target = BElement(g, a, b), BElement(g, c, d)
         chain = build_witness_chain(seed, target)  # verified eagerly inside
-        first = [t for t in candidates if t * chain.right_translator == seed]
-        if first != [chain.intermediate]:
+        mid = chain.intermediate.left, chain.intermediate.right
+        rl, rr = chain.right_translator.left, chain.right_translator.right
+        first = [(x, y) for x, y in candidates if product(x, y, rl, rr) == (a, b)]
+        if first != [mid]:
             return f"step one of {seed} -> {target} is not unique in the window"
-        second = [t for t in candidates if chain.left_translator * t == chain.intermediate]
-        if second != [target]:
+        ll, lr = chain.left_translator.left, chain.left_translator.right
+        second = [(x, y) for x, y in candidates if product(ll, lr, x, y) == mid]
+        if second != [(c, d)]:
             return f"step two of {seed} -> {target} is not unique in the window"
 
     return _forall((_tuples(coords, 4, count, ctx.rng("witness-chains")), fault))

@@ -684,15 +684,20 @@ def test_triple_factorization_catches_a_reversed_product(monkeypatch):
     )
 
 
-def test_a_product_wrong_only_above_fails_the_solver_rows_and_rep_soundness(monkeypatch):
-    # [a|b] * [c|d] with b > c keeps d instead of carrying it to b - c + d;
-    # the solver rows read that product, and rep-soundness holds it to the
-    # shift composite, which multiplies nothing
+def _keep_right_above(monkeypatch):
+    """Make Z's [a|b] * [c|d] with b > c keep d instead of carrying it to
+    b - c + d; every other product stays right."""
     real = IntegerGroup.pair_product
     monkeypatch.setattr(
         IntegerGroup, "pair_product",
         lambda g, a, b, c, d: (a, d) if b > c else real(g, a, b, c, d),
     )
+
+
+def test_a_product_wrong_only_above_fails_the_solver_rows_and_rep_soundness(monkeypatch):
+    # the solver rows read the wrong product, and rep-soundness holds it to
+    # the shift composite, which multiplies nothing
+    _keep_right_above(monkeypatch)
     ctx = suites._Ctx(Z, 2, 0)
     assert _check("solve-right-complete")(ctx) == (
         "fail", 2,
@@ -701,6 +706,40 @@ def test_a_product_wrong_only_above_fails_the_solver_rows_and_rep_soundness(monk
     assert _check("rep-soundness")(ctx) == (
         "fail", 26, "pair product and shift composite split on [-2|-1], [-2|-2]"
     )
+
+
+@pytest.mark.parametrize(
+    "name, cases, counter",
+    [
+        ("pair-associativity", 6, "associativity broke at [-2|0], [-1|0], [1|0]"),
+        ("pair-inverse-unique", 1, "second inverse [-2|-1] found for [-2|-2]"),
+    ],
+)
+def test_a_product_wrong_only_above_fails_the_pair_law_checks(monkeypatch, name, cases, counter):
+    # both checks multiply coordinates through the carrier's own product
+    _keep_right_above(monkeypatch)
+    assert _check(name)(suites._Ctx(Z, 2, 0)) == ("fail", cases, counter)
+
+
+@pytest.mark.parametrize(
+    "name, ops",
+    [
+        ("pair-associativity", {"cmp": 26_664, "inv": 21_842, "mul": 43_684}),
+        ("pair-inverse-unique", {"cmp": 1_360, "inv": 1_080, "mul": 2_160}),
+        ("witness-chains", {"cmp": 1_400, "contains": 250, "inv": 1_220, "mul": 2_440}),
+    ],
+)
+def test_the_pair_law_checks_make_the_carrier_calls_of_pair_products(counting, name, ops):
+    # each check reads coordinates, and calls the carrier exactly as
+    # multiplying the pairs would; the pools are built first, so only the
+    # check's own calls count
+    carrier, calls = counting(Z)
+    ctx = suites._Ctx(carrier, 2, 0)
+    ctx.pairs()
+    ctx.pool_elements()
+    calls.clear()
+    assert _check(name)(ctx)[0] == "pass"
+    assert dict(calls) == ops
 
 
 # --- checks shared with one forked child ----------------------------------

@@ -43,6 +43,11 @@ MUTANTS = {
         "pairs", "if other.group is not g and other.group != g:", "if False:",
         "a product of pairs over two carriers raises InstanceMismatch",
     ),
+    "mul-operand-order": (
+        "pairs", "g.pair_product(self.left, self.right, other.left, other.right)",
+        "g.pair_product(other.left, other.right, self.left, self.right)",
+        "s * t is [s.left|s.right] * [t.left|t.right], left factor first",
+    ),
     "inverse-swap": (
         "pairs", "return _make(self.group, self.right, self.left)",
         "return _make(self.group, self.left, self.right)",
@@ -93,6 +98,14 @@ MUTANTS = {
     "suite-window-type": (
         "suites", "if type(window) is not int:", "if False:",
         "SuiteConfig refuses a window that is not an int",
+    ),
+    "assoc-one-grouping": (
+        "suites", "product(a, b, *product(c, d, e, f))", "product(*product(a, b, c, d), e, f)",
+        "pair-associativity compares (s * t) * u with s * (t * u)",
+    ),
+    "inverse-second-law": (
+        "suites", "and product(*product(c, d, a, b), c, d) == (c, d)", "and True",
+        "a second inverse t of s satisfies t * s * t = t as well as s * t * s = s",
     ),
     "split-merge-by-position": (
         "suites", "return [results[index] for index in range(count)]",
