@@ -11,10 +11,11 @@ was closed.  ``--output json`` answers are schema-stable, in the bytes
 ``tests/test_cli.py::test_json_text_matches_json_dumps`` holds it to
 those bytes.  Text output is for reading.
 
-A command name followed only by exact tokens (see ``_parse_exact``) is
-read by that command's table, with no argparse pass; every other line
-goes to ``parse_args``.  Parsers and tables are built once, on the first
-``main`` call; see ``_parsers``.  Each answer is built only in the form
+Each command is declared once, as a row of ``_COMMANDS``, and its parser
+and exact-token table are built from that row on the first ``main`` call
+(see ``_parsers``).  A command name followed only by exact tokens (see
+``_parse_exact``) is read by its table, with no argparse pass; every
+other line goes to ``parse_args``.  Each answer is built only in the form
 ``--output`` asks for, and written in one write.  Pair literals go to
 ``parse_pair``, which builds a well-formed literal's pair unchecked: its
 pattern admits only carrier members (see ``literals``).
@@ -319,16 +320,53 @@ def _cmd_check(args, group) -> int:
     return 0 if report.ok else 1
 
 
-def _exact_table(command: argparse.ArgumentParser, actions: list) -> tuple:
-    """What ``_parse_exact`` needs of ``command``, read from public attributes
-    of the actions ``add_argument`` returned: each option string's action,
-    the positional (at most one, of a fixed count), the set of required
-    options, and the namespace of a line that gives no option (each
-    default is already of its option's type)."""
+# kwargs several options share; add_argument reads them and keeps no reference
+_REQUIRED = {"required": True}
+_WINDOW = ("--window", {"type": int, "default": 4})
+_BPLUS = ("--bplus", {"action": "store_true"})
+
+# one row per command: its name, handler, help line and own options as
+# (flag, add_argument kwargs), in usage order after --group and --output
+_COMMANDS = (
+    ("mul", _cmd_mul, "multiply two pairs", [("elements", {"nargs": 2, "metavar": "PAIR"})]),
+    ("inv", _cmd_inv, "invert a pair", [("element", {"metavar": "PAIR"})]),
+    ("leq", _cmd_leq, "natural partial order test", [("--s", _REQUIRED), ("--t", _REQUIRED)]),
+    ("solve", _cmd_solve, "solve a one-unknown equation", [
+        ("--target", _REQUIRED), ("--known", {}),
+        ("--side", {"default": "right", "choices": ["left", "right", "sandwich"]}),
+        ("--leftk", {}), ("--rightk", {}), _BPLUS,
+    ]),
+    ("ideal", _cmd_ideal, "principal ideal membership", [
+        ("--element", _REQUIRED), ("--anchor", _REQUIRED),
+        ("--side", {"default": "right", "choices": ["left", "right"]}), _BPLUS,
+    ]),
+    ("upset", _cmd_upset, "window view of an up-set", [_WINDOW, ("--base", _REQUIRED), _BPLUS]),
+    ("pmap", _cmd_pmap, "partial shift operations", [
+        _WINDOW,  # read by check-compose
+        ("action", {"choices": ["apply", "check-compose"]}),
+        ("--g", {"help": "domain anchor literal"}), ("--h", {"help": "codomain anchor literal"}),
+        ("--x", {"help": "evaluation point literal"}),
+    ]),
+    ("witness", _cmd_witness, "build an isolation chain",
+     [("--seed", _REQUIRED), ("--target", _REQUIRED)]),
+    ("escape", _cmd_escape, "escape certificates for a region",
+     [_WINDOW, ("--a", {"required": True, "help": "idempotent anchor literal"})]),
+    ("check", _cmd_check, "run the property suites", [
+        _WINDOW, ("--sample-seed", {"type": int, "default": 0}), ("--suites", {"default": "all"}),
+    ]),
+)
+
+
+def _exact_table(fn, actions: list) -> tuple:
+    """What ``_parse_exact`` needs of the command whose handler is ``fn``,
+    read from public attributes of the actions ``add_argument`` returned:
+    each option string's action, the positional (at most one, of a fixed
+    count), the set of required options, and the namespace of a line that
+    gives no option (each default is already of its option's type)."""
     options = {s: a for a in actions for s in a.option_strings}
     positional = next((a for a in actions if not a.option_strings), None)
     defaults = {a.dest: a.default for a in actions}
-    defaults["fn"] = command.get_default("fn")  # the one set_defaults key
+    defaults["fn"] = fn  # the one set_defaults key
     return options, positional, frozenset(a for a in options.values() if a.required), defaults
 
 
@@ -388,7 +426,8 @@ def _parse_exact(table: tuple, strings: list) -> Optional[argparse.Namespace]:
 @functools.cache
 def _parsers() -> tuple:
     """The one shared ``bicext`` parser, its command parsers by name, and
-    each command's exact-token table (see ``_exact_table``) by name.
+    each command's exact-token table (see ``_exact_table``) by name, all
+    built from the rows of ``_COMMANDS``.
 
     They are built on the first call, and every later call returns the
     same objects, so callers must not mutate them.  Reuse is safe because
@@ -409,73 +448,13 @@ def _parsers() -> tuple:
         description="Exact pair semigroups over linearly ordered groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    actions = {}
-
-    def add(p, *args, **kwargs):
-        # p.add_argument, keeping the action it returns after the shared ones
-        actions.setdefault(p, list(shared)).append(p.add_argument(*args, **kwargs))
-
-    p = sub.add_parser("mul", parents=[common], help="multiply two pairs")
-    add(p, "elements", nargs=2, metavar="PAIR")
-    p.set_defaults(fn=_cmd_mul)
-
-    p = sub.add_parser("inv", parents=[common], help="invert a pair")
-    add(p, "element", metavar="PAIR")
-    p.set_defaults(fn=_cmd_inv)
-
-    p = sub.add_parser("leq", parents=[common], help="natural partial order test")
-    add(p, "--s", required=True)
-    add(p, "--t", required=True)
-    p.set_defaults(fn=_cmd_leq)
-
-    p = sub.add_parser("solve", parents=[common], help="solve a one-unknown equation")
-    add(p, "--target", required=True)
-    add(p, "--known")
-    add(p, "--side", default="right", choices=["left", "right", "sandwich"])
-    add(p, "--leftk")
-    add(p, "--rightk")
-    add(p, "--bplus", action="store_true")
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("ideal", parents=[common], help="principal ideal membership")
-    add(p, "--element", required=True)
-    add(p, "--anchor", required=True)
-    add(p, "--side", default="right", choices=["left", "right"])
-    add(p, "--bplus", action="store_true")
-    p.set_defaults(fn=_cmd_ideal)
-
-    p = sub.add_parser("upset", parents=[common], help="window view of an up-set")
-    add(p, "--window", type=int, default=4)
-    add(p, "--base", required=True)
-    add(p, "--bplus", action="store_true")
-    p.set_defaults(fn=_cmd_upset)
-
-    p = sub.add_parser("pmap", parents=[common], help="partial shift operations")
-    add(p, "--window", type=int, default=4)  # read by check-compose
-    add(p, "action", choices=["apply", "check-compose"])
-    add(p, "--g", help="domain anchor literal")
-    add(p, "--h", help="codomain anchor literal")
-    add(p, "--x", help="evaluation point literal")
-    p.set_defaults(fn=_cmd_pmap)
-
-    p = sub.add_parser("witness", parents=[common], help="build an isolation chain")
-    add(p, "--seed", required=True)
-    add(p, "--target", required=True)
-    p.set_defaults(fn=_cmd_witness)
-
-    p = sub.add_parser("escape", parents=[common], help="escape certificates for a region")
-    add(p, "--window", type=int, default=4)
-    add(p, "--a", required=True, help="idempotent anchor literal")
-    p.set_defaults(fn=_cmd_escape)
-
-    p = sub.add_parser("check", parents=[common], help="run the property suites")
-    add(p, "--window", type=int, default=4)
-    add(p, "--sample-seed", type=int, default=0, dest="sample_seed")
-    add(p, "--suites", default="all")
-    p.set_defaults(fn=_cmd_check)
-
-    commands = sub.choices
-    return parser, commands, {name: _exact_table(p, actions[p]) for name, p in commands.items()}
+    tables = {}
+    for name, fn, help_line, options in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        actions = shared + [p.add_argument(flag, **kwargs) for flag, kwargs in options]
+        p.set_defaults(fn=fn)
+        tables[name] = _exact_table(fn, actions)
+    return parser, sub.choices, tables
 
 
 def _parse_command_line(argv: list) -> argparse.Namespace:

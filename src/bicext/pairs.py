@@ -126,10 +126,9 @@ def idempotent(group: OrderedGroup, x: Element) -> BElement:
 def pairs_over(group: OrderedGroup, elems: Sequence[Element], bplus: bool = False) -> List[BElement]:
     """Every pair of entries of ``elems``, left coordinate first; with
     ``bplus``, only the pairs whose coordinates are both positive."""
-    out = [BElement(group, a, b) for a in elems for b in elems]
     if bplus:
-        out = [s for s in out if s.in_bplus()]
-    return out
+        elems = [x for x in elems if group.is_positive(x)]
+    return [BElement(group, a, b) for a in elems for b in elems]
 
 
 def pairs_in_window(group: OrderedGroup, bounds: Bounds, bplus: bool = False) -> List[BElement]:

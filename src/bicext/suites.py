@@ -221,12 +221,17 @@ class _Ctx:
         self.radius = radius
         self.seed = seed
         self._pools: Dict[tuple, List[BElement]] = {}
+        self._windows: Dict[object, List] = {}
 
     def rng(self, label: str) -> random.Random:
         return random.Random(f"{self.seed}:{self.group.name}:{self.radius}:{label}")
 
     def window(self, bounds=None) -> List:
-        return self.group.window(self.radius if bounds is None else bounds)
+        # one list per bounds, shared by every check: no check mutates a window
+        bounds = self.radius if bounds is None else bounds
+        if bounds not in self._windows:
+            self._windows[bounds] = self.group.window(bounds)
+        return self._windows[bounds]
 
     def pool_elements(self, margin: int = 0) -> List:
         """Window elements, thinned deterministically when pairing would explode."""

@@ -437,6 +437,23 @@ def test_shared_parser_keeps_no_state(capsys):
     assert run(capsys, "mul", "[1|2]", "[3|4]") == first
 
 
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", [
+    "bicext", "mul", "inv", "leq", "solve", "ideal", "upset", "pmap", "witness", "escape", "check",
+])
+def test_help_text_matches_golden(monkeypatch, capsys, command):
+    # pins each help line, metavar and choice list, which the parse-parity
+    # tests cannot see; argparse wraps help to the width COLUMNS gives
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(([] if command == "bicext" else [command]) + ["-h"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out == (_GOLDEN / f"help-{command}.txt").read_text()
+
+
 _EXACT_LINES = [
     ["mul", "--group", "ZxZ", "[(0,0)|(0,1)]", "[(1,0)|(2,3)]"],
     ["inv", "[3|5]"],

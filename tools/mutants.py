@@ -124,6 +124,14 @@ MUTANTS = {
         "cli", "required <= seen", "True",
         "an exact-token line that omits a required option goes to argparse, which refuses it",
     ),
+    "mul-help-line": (
+        "cli", '"multiply two pairs"', '"multiply pairs"',
+        "bicext -h prints mul's help line",
+    ),
+    "pmap-option-help": (
+        "cli", '"domain anchor literal"', '"anchor"',
+        "bicext pmap -h prints each option's help",
+    ),
     "q-literal-reduction": (
         "literals", "k, j = gcd(n, d), gcd(p, q)", "k = j = 1",
         "a matched Q literal is the reduced fraction Fraction(n, d) builds",
